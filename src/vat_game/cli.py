@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +34,9 @@ from .model import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+
+#: Largest (theta, gamma) raster `region` builds, in cells.
+MAX_REGION_CELLS = 1001 * 1001
 
 _SCENARIOS = {s.value: s for s in Scenario}
 _EVENTS = {e.value: e for e in Event}
@@ -108,7 +112,10 @@ def cmd_payoffs(args: argparse.Namespace) -> int:
     gamma = {"no-audit": 0.0, "certain-audit": 1.0, "bayesian": args.gamma}[args.regime]
     if gamma is None:
         raise ConfigError("--gamma is required with --regime bayesian")
-    regime = AuditRegime(gamma)
+    try:
+        regime = AuditRegime(gamma)
+    except ValueError as exc:
+        raise ConfigError(f"--gamma: {exc}") from exc
 
     if args.event is not None:
         events: Sequence[Event] = (_EVENTS[args.event],)
@@ -140,8 +147,16 @@ def cmd_payoffs(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- thresholds
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def _frontier_parameters(args: argparse.Namespace) -> tuple[TaxPolicy, TransactionEndowments]:
+    """Parameters for a command that prints compliance frontiers."""
     policy, te = build_parameters(args.preset, args.config, args.set)
+    if te.x_o == 0.0:
+        raise ConfigError("x_o must be positive: the compliance frontiers divide by it")
+    return policy, te
+
+
+def cmd_thresholds(args: argparse.Namespace) -> int:
+    policy, te = _frontier_parameters(args)
     mode = _MODES[args.mode]
 
     rows: list[dict[str, object]] = []
@@ -163,14 +178,18 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     scalar(
         "buyer_theta_no_audit",
         "eq9",
-        dominance.buyer_theta_threshold(AuditRegime(0.0), policy, mode),
+        dominance.buyer_theta_threshold(AuditRegime(0.0), policy, te, mode),
     )
     scalar(
         "buyer_theta_certain_audit",
         "prop11",
-        dominance.buyer_theta_threshold(AuditRegime(1.0), policy, mode),
+        dominance.buyer_theta_threshold(AuditRegime(1.0), policy, te, mode),
     )
-    scalar("buyer_gamma_threshold", "result6", dominance.buyer_gamma_threshold(policy))
+    scalar(
+        "buyer_gamma_threshold",
+        "result6",
+        dominance.buyer_gamma_threshold(policy, te, mode),
+    )
     scalar(
         "seller_gamma_threshold_ewt",
         "result7",
@@ -227,11 +246,18 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ region
 
 
-def _axis(lo: float, hi: float, step: float, name: str) -> list[float]:
+def _axis_size(lo: float, hi: float, step: float, name: str) -> int:
+    """Validate one raster axis and count its points, without building it."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigError(f"{name} min, max and step must be finite")
     if step <= 0.0:
         raise ConfigError(f"{name} step must be positive")
     if not 0.0 <= lo <= hi <= 1.0:
         raise ConfigError(f"{name} axis must satisfy 0 <= min <= max <= 1")
+    return math.floor(min((hi - lo + 1e-12) / step, MAX_REGION_CELLS)) + 1
+
+
+def _axis(lo: float, hi: float, step: float) -> list[float]:
     values = []
     k = 0
     while True:
@@ -244,10 +270,15 @@ def _axis(lo: float, hi: float, step: float, name: str) -> list[float]:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    policy, te = build_parameters(args.preset, args.config, args.set)
+    policy, te = _frontier_parameters(args)
     mode = _MODES[args.mode]
-    thetas = _axis(args.theta_min, args.theta_max, args.theta_step, "theta")
-    gammas = _axis(args.gamma_min, args.gamma_max, args.gamma_step, "gamma")
+    theta_axis = (args.theta_min, args.theta_max, args.theta_step)
+    gamma_axis = (args.gamma_min, args.gamma_max, args.gamma_step)
+    if _axis_size(*theta_axis, "theta") * _axis_size(*gamma_axis, "gamma") > MAX_REGION_CELLS:
+        raise ConfigError(
+            f"region grid exceeds {MAX_REGION_CELLS} cells (1001 x 1001); use larger steps"
+        )
+    thetas, gammas = _axis(*theta_axis), _axis(*gamma_axis)
 
     rows = []
     for theta in thetas:  # theta outer, gamma inner, row-major
@@ -323,6 +354,8 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
+    if args.thresholds_every < 1:
+        raise ConfigError("--thresholds-every must be >= 1")
     rep = oracle.validate(
         seed=args.seed,
         draws=args.draws,
@@ -391,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="bisect thresholds on every K-th draw",
+        help="check thresholds on every K-th draw",
     )
     p.set_defaults(func=cmd_validate)
 
@@ -405,6 +438,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if args.precision < 0:
+            raise ConfigError("--precision must be >= 0")
         return args.func(args)
     except (ConfigError, UndefinedEventError, FileNotFoundError) as exc:
         print(f"vat-game: error: {exc}", file=sys.stderr)

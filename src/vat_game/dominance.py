@@ -1,7 +1,8 @@
 """Pairwise strategy comparisons and closed-form compliance thresholds.
 
 Every threshold here is an explicit formula; the oracle module re-derives
-each one by bisection over the payoff engine, and the two must agree.
+each one by a bracketing root search on a payoff margin of the engine, and
+the two must agree.
 """
 
 from __future__ import annotations
@@ -130,32 +131,60 @@ def vat_rate_threshold(policy: TaxPolicy, te: TransactionEndowments) -> Threshol
     return ThresholdResult.of(policy.t_s * (te.x_o - te.x_i) / te.x_i)
 
 
+def _literal_x_o(te: TransactionEndowments | None) -> float:
+    if te is None:
+        raise ValueError("paper-literal buyer thresholds depend on x_o: pass te")
+    return te.x_o
+
+
 def buyer_theta_threshold(
     regime: AuditRegime,
     policy: TaxPolicy,
+    te: TransactionEndowments | None = None,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> ThresholdResult:
     """Deduction share above which the buyer complies in the deduction scenario.
 
-    theta* = (v*delta - gamma*v*(1+s_v)) / (1 + v*delta). The no-audit and
-    certain-audit bounds are the gamma=0 and gamma=1 specializations. A
-    negative bound means any theta >= 0 already induces buyer compliance.
-
-    The formula is scale-free in x_o, so it is the same in both sanction
-    base modes; `mode` is accepted for API uniformity only.
+    CORRECTED: theta* = (v*delta - gamma*v*(1+s_v)) / (1 + v*delta). The
+    sanction is levied on the evaded tax x_o*v, as in Yitzhaki (1974), so
+    x_o cancels and `te` may be omitted. PAPER_LITERAL charges
+    gamma*v*(1+s_v) flat, proportional neither to the evaded tax nor to the
+    undeclared base x_o (Allingham and Sandmo 1972), so x_o stays:
+    theta* = (x_o*v*delta - gamma*v*(1+s_v)) / (x_o*(1 + v*delta)),
+    undefined at x_o = 0. The no-audit and certain-audit bounds are the
+    gamma=0 and gamma=1 specializations. A negative bound means any
+    theta >= 0 already induces buyer compliance.
     """
-    del mode
     v, delta = policy.v, policy.delta
-    value = (v * delta - regime.gamma * v * (1.0 + policy.s_v)) / (1.0 + v * delta)
-    return ThresholdResult.of(value)
+    sanction = regime.gamma * v * (1.0 + policy.s_v)
+    if mode is SanctionBaseMode.CORRECTED:
+        return ThresholdResult.of((v * delta - sanction) / (1.0 + v * delta))
+    x_o = _literal_x_o(te)
+    if x_o == 0.0:
+        return ThresholdResult.undefined()
+    return ThresholdResult.of((x_o * v * delta - sanction) / (x_o * (1.0 + v * delta)))
 
 
-def buyer_gamma_threshold(policy: TaxPolicy) -> ThresholdResult:
+def buyer_gamma_threshold(
+    policy: TaxPolicy,
+    te: TransactionEndowments | None = None,
+    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
+) -> ThresholdResult:
     """Audit probability above which the buyer complies without deductions.
 
-    gamma* = 1 / (1 + s_v).
+    The expected sanction must outweigh the evaded VAT x_o*v. CORRECTED
+    levies it on the evaded tax (Yitzhaki 1974), gamma*x_o*v*(1+s_v), so
+    gamma* = 1 / (1 + s_v) and `te` may be omitted. PAPER_LITERAL levies
+    gamma*v*(1+s_v) on no base at all, neither the evaded tax nor the
+    undeclared x_o (Allingham and Sandmo 1972), so gamma* = x_o / (1 + s_v),
+    undefined at x_o = 0.
     """
-    return ThresholdResult.of(1.0 / (1.0 + policy.s_v))
+    if mode is SanctionBaseMode.CORRECTED:
+        return ThresholdResult.of(1.0 / (1.0 + policy.s_v))
+    x_o = _literal_x_o(te)
+    if x_o == 0.0:
+        return ThresholdResult.undefined()
+    return ThresholdResult.of(x_o / (1.0 + policy.s_v))
 
 
 def seller_gamma_threshold_ewt(

@@ -310,7 +310,9 @@ def expected_payoff(
     seller and government are unaffected.
     """
     gamma = regime.gamma
-    if gamma == 0.0:
+    # The shortcut is for scalars; an array gamma takes the mixture, which is
+    # exactly the unaudited payoff wherever gamma is 0.
+    if isinstance(gamma, (int, float)) and gamma == 0.0:
         return payoff_event(scenario, False, event, policy, te)
 
     unaudited = payoff_event(scenario, False, event, policy, te)

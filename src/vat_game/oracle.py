@@ -1,15 +1,19 @@
 """Brute-force validation of every closed-form result in the package.
 
 Nothing here reuses a closed form: best responses are recomputed by
-exhaustive enumeration over the payoff engine and thresholds by bisection
-on the relevant payoff margin. A seeded batch run checks that the
-analytical layer (dominance, coalition) agrees everywhere.
+exhaustive enumeration over the payoff engine, and thresholds by a
+bracketing root search on the relevant payoff margin (a single-crossing
+check on an array of samples, then Illinois regula falsi). A seeded batch
+run checks that the analytical layer (dominance, coalition) agrees
+everywhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -27,10 +31,10 @@ from .model import (
     expected_payoff,
 )
 
-#: Absolute bisection tolerance on the varied parameter.
+#: Absolute tolerance of the threshold search on the varied parameter.
 BISECT_TOL = 1e-10
 
-#: Sample count for the empirical single-crossing check before bisecting.
+#: Sample count for the empirical single-crossing check before refining.
 MONOTONE_SAMPLES = 33
 
 
@@ -99,7 +103,7 @@ def oracle_best_response(
 
 @dataclass(frozen=True)
 class Comparison:
-    """A pairwise payoff comparison whose margin is bisected."""
+    """A pairwise payoff comparison whose margin is searched for a crossing."""
 
     agent: Agent
     first: Event
@@ -108,36 +112,59 @@ class Comparison:
     regime: AuditRegime
 
 
+#: Parameter name -> the input of a margin that holds it.
+_OWNER = {
+    f.name: owner
+    for owner, cls in (
+        ("policy", TaxPolicy),
+        ("te", TransactionEndowments),
+        ("regime", AuditRegime),
+    )
+    for f in dataclasses.fields(cls)
+}
+
+Margin = Callable[[float | np.ndarray], float | np.ndarray]
+
+
 def _margin_fn(
     varied_parameter: str,
     comparison: Comparison,
     draw: ParameterDraw,
     mode: SanctionBaseMode,
-) -> Callable[[float], float]:
-    policy_fields = {f.name for f in dataclasses.fields(TaxPolicy)}
-    te_fields = {f.name for f in dataclasses.fields(TransactionEndowments)}
+    lo: float,
+    hi: float,
+) -> Margin:
+    """The comparison's payoff margin as a function of one parameter.
 
-    def margin(x: float) -> float:
-        policy, te, regime = draw.policy, draw.te, comparison.regime
-        if varied_parameter == "gamma":
-            regime = AuditRegime(x)
-        elif varied_parameter in policy_fields:
-            policy = dataclasses.replace(policy, **{varied_parameter: x})
-        elif varied_parameter in te_fields:
-            te = dataclasses.replace(te, **{varied_parameter: x})
-        else:
-            raise ValueError(f"unknown parameter {varied_parameter!r}")
-        pref = dominance.compare(
-            comparison.agent,
-            comparison.first,
-            comparison.second,
-            comparison.scenario,
-            regime,
-            policy,
-            te,
-            mode,
+    The margin takes a float or an ndarray of parameter values and returns
+    agent_payoff(first) - agent_payoff(second) over `expected_payoff`: at
+    each point, the value of `dominance.compare(...).margin`. The varied
+    parameter is validated once, at `lo` and `hi`, by its dataclass; every
+    admissible range is an interval, so every point between them is
+    admissible too. Evaluation runs on a plain view of the draw with the
+    varied field replaced, which broadcasts over arrays.
+    """
+    owner = _OWNER.get(varied_parameter)
+    if owner is None:
+        raise ValueError(f"unknown parameter {varied_parameter!r}")
+    inputs = {"policy": draw.policy, "te": draw.te, "regime": comparison.regime}
+    for x in (lo, hi):
+        dataclasses.replace(inputs[owner], **{varied_parameter: x})
+    fields = vars(inputs[owner])
+    agent, scenario = comparison.agent, comparison.scenario
+
+    def margin(x):
+        view = {**inputs, owner: SimpleNamespace(**{**fields, varied_parameter: x})}
+        first, second = (
+            dominance.agent_payoff(
+                agent,
+                expected_payoff(
+                    scenario, view["regime"], event, view["policy"], view["te"], mode
+                ),
+            )
+            for event in (comparison.first, comparison.second)
         )
-        return pref.margin
+        return first - second
 
     return margin
 
@@ -150,64 +177,95 @@ def oracle_threshold(
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> ThresholdResult:
-    """Locate the margin's sign change in [lo, hi] by bisection.
+    """Locate the margin's sign change in [lo, hi].
 
     The margin must be single-crossing over the range; this is asserted on
     MONOTONE_SAMPLES equispaced samples and violated expectations fail
     loudly. With no sign change, the constant sign is reported as an
     always/never sentinel on the first-preferred condition.
     """
-    margin = _margin_fn(varied_parameter, comparison, draw, mode)
+    margin = _margin_fn(varied_parameter, comparison, draw, mode, lo, hi)
     return bisect_single_crossing(margin, lo, hi, what=f"{varied_parameter!r} for {comparison}")
 
 
 def bisect_single_crossing(
-    margin: Callable[[float], float],
+    margin: Margin,
     lo: float,
     hi: float,
     what: str = "margin",
 ) -> ThresholdResult:
-    """Single-crossing check plus bisection on an arbitrary scalar margin."""
+    """Single-crossing check plus bracketed refinement on an arbitrary margin.
+
+    The margin must accept an ndarray: the check evaluates it once on all
+    MONOTONE_SAMPLES points. The first sample that is zero or whose sign
+    differs from the next one's brackets the crossing, which
+    `_refine_bracket` narrows to BISECT_TOL.
+    """
     xs = np.linspace(lo, hi, MONOTONE_SAMPLES)
-    ys = [margin(float(x)) for x in xs]
-    signs = [1 if y > 0 else (-1 if y < 0 else 0) for y in ys]
-    crossings = sum(
-        1
-        for a, b in zip(signs, signs[1:])
-        if a != 0 and b != 0 and a != b
-    )
+    ys = np.broadcast_to(margin(xs), xs.shape)
+    signs = (ys > 0).astype(int) - (ys < 0)
+    left, right = signs[:-1], signs[1:]
+    crossings = np.count_nonzero((left != 0) & (right != 0) & (left != right))
     if crossings > 1:
         raise NonMonotoneError(
             f"margin in {what} is not single-crossing on [{lo}, {hi}]"
         )
 
-    nonzero = [s for s in signs if s != 0]
-    if crossings == 0 and (not nonzero or all(s == nonzero[0] for s in nonzero)):
-        if not nonzero:
+    nonzero = signs[signs != 0]
+    if crossings == 0 and np.all(nonzero == nonzero[:1]):
+        if nonzero.size == 0:
             return ThresholdResult.of(lo)  # identically zero: degenerate tie
         if nonzero[0] > 0:
             return ThresholdResult.always_satisfied()
         return ThresholdResult.never_satisfied()
 
-    # Bracket the first sign change among the samples, then bisect.
-    a = b = None
-    for i, (sa, sb) in enumerate(zip(signs, signs[1:])):
-        if sa == 0:
-            return ThresholdResult.of(float(xs[i]))
-        if sa != sb:
-            a, b = float(xs[i]), float(xs[i + 1])
-            break
-    assert a is not None and b is not None
-    fa = margin(a)
+    i = np.flatnonzero((left == 0) | (left != right))[0]
+    if signs[i] == 0:
+        return ThresholdResult.of(float(xs[i]))
+    return _refine_bracket(
+        margin, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1])
+    )
+
+
+def _refine_bracket(
+    margin: Margin, a: float, b: float, fa: float, fb: float
+) -> ThresholdResult:
+    """Narrow the bracket [a, b] to BISECT_TOL by Illinois regula falsi.
+
+    fa is nonzero and fb has the other sign or is zero. Each step keeps the
+    sub-bracket whose ends differ in sign. When the same end is kept twice
+    running, its stored margin is halved, so the secant cannot stall against
+    it. An interpolation step that fails to halve the bracket is followed by
+    a midpoint step, so the search needs at most about twice the steps of
+    bisection. Interpolated points keep half a tolerance (or one float,
+    where that is wider) from both ends: a root within that of an end is
+    then bracketed to within the tolerance by the next step.
+    """
+    kept = 0  # +1 when the last step kept b, -1 when it kept a
+    midpoint_next = False
     while b - a > BISECT_TOL:
-        m = 0.5 * (a + b)
-        fm = margin(m)
-        if fm == 0.0:
-            return ThresholdResult.of(m)
-        if (fa > 0) == (fm > 0):
-            a, fa = m, fm
+        width = b - a
+        if midpoint_next:
+            x = 0.5 * (a + b)
         else:
-            b = m
+            edge = max(0.5 * BISECT_TOL, math.ulp(max(abs(a), abs(b))))
+            x = min(max(a - fa * width / (fb - fa), a + edge), b - edge)
+        if not a < x < b:
+            break  # a and b are adjacent floats, wider apart than the tolerance
+        fx = float(margin(x))
+        if fx == 0.0:
+            return ThresholdResult.of(x)
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+        midpoint_next = not midpoint_next and b - a > 0.5 * width
     return ThresholdResult.of(0.5 * (a + b))
 
 
@@ -240,10 +298,10 @@ class ValidationReport:
 _REGIMES = (AuditRegime(0.0), AuditRegime(0.37), AuditRegime(1.0))
 _SCENARIOS = (Scenario.NO_TAXES, Scenario.TAX, Scenario.TAX_WITH_DEDUCTIONS)
 
-#: Closed-form thresholds checked against bisection: name, varied parameter,
-#: comparison builder, closed-form evaluator, sweep range, applicability
-#: guard (skips draws where the margin is identically zero and the closed
-#: form vacuous).
+#: Closed-form thresholds checked against the oracle's search: name, varied
+#: parameter, comparison builder, closed-form evaluator (of the draw and the
+#: sanction base mode), sweep range, applicability guard (skips draws where
+#: the margin is identically zero and the closed form vacuous).
 _THRESHOLD_CASES = (
     (
         "seller_tax_threshold",
@@ -251,7 +309,7 @@ _THRESHOLD_CASES = (
         lambda d: Comparison(
             Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
         ),
-        lambda d: dominance.seller_tax_threshold(d.policy, d.te),
+        lambda d, mode: dominance.seller_tax_threshold(d.policy, d.te),
         (0.0, 0.999),
         lambda d: d.te.x_o != d.te.x_i,
     ),
@@ -261,7 +319,7 @@ _THRESHOLD_CASES = (
         lambda d: Comparison(
             Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
         ),
-        lambda d: dominance.vat_rate_threshold(d.policy, d.te),
+        lambda d, mode: dominance.vat_rate_threshold(d.policy, d.te),
         (0.0, 0.999),
         lambda d: d.te.x_i > 0.0,
     ),
@@ -275,7 +333,9 @@ _THRESHOLD_CASES = (
             Scenario.TAX_WITH_DEDUCTIONS,
             AuditRegime(0.37),
         ),
-        lambda d: dominance.buyer_theta_threshold(AuditRegime(0.37), d.policy),
+        lambda d, mode: dominance.buyer_theta_threshold(
+            AuditRegime(0.37), d.policy, d.te, mode
+        ),
         (0.0, 1.0),
         lambda d: d.te.x_o > 0.0,
     ),
@@ -285,7 +345,7 @@ _THRESHOLD_CASES = (
         lambda d: Comparison(
             Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
         ),
-        lambda d: dominance.buyer_gamma_threshold(d.policy),
+        lambda d, mode: dominance.buyer_gamma_threshold(d.policy, d.te, mode),
         (0.0, 1.0),
         lambda d: d.policy.v > 0.0 and d.te.x_o > 0.0,
     ),
@@ -295,7 +355,7 @@ _THRESHOLD_CASES = (
         lambda d: Comparison(
             Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
         ),
-        lambda d: dominance.seller_gamma_threshold_ewt(d.policy, d.te),
+        lambda d, mode: dominance.seller_gamma_threshold_ewt(d.policy, d.te),
         (0.0, 1.0),
         lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
     ),
@@ -305,7 +365,7 @@ _THRESHOLD_CASES = (
         lambda d: Comparison(
             Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
         ),
-        lambda d: dominance.seller_gamma_threshold_elt2(d.policy, d.te),
+        lambda d, mode: dominance.seller_gamma_threshold_elt2(d.policy, d.te),
         (0.0, 1.0),
         lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
     ),
@@ -337,7 +397,7 @@ def _check_thresholds(
     for name, param, make_cmp, closed_form, (lo, hi), applies in _THRESHOLD_CASES:
         if not applies(draw):
             continue
-        analytic = closed_form(draw)
+        analytic = closed_form(draw, mode)
         if analytic.sentinel is not dominance.Sentinel.VALUE:
             continue
         if not lo <= analytic.value <= hi:
@@ -375,7 +435,7 @@ def validate(
 ) -> ValidationReport:
     """Run the full oracle suite over a seeded draw batch.
 
-    Best responses are compared on every draw; threshold bisection (the
+    Best responses are compared on every draw; threshold searches (the
     expensive part) on every `thresholds_every`-th draw.
     """
     report = ValidationReport(seed=seed, draws=draws)

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +132,10 @@ class TestThresholdsCommand:
         assert float(rows["gamma_at_theta0_lt1"]["value"]) == pytest.approx(
             0.70572, abs=1e-4
         )
+        # the paper-literal sanction is not scaled by x_o = 100
+        assert float(rows["buyer_gamma_threshold"]["value"]) == pytest.approx(
+            100.0 / 1.3, abs=1e-6
+        )
 
     def test_degenerate_input_sentinels(self, capsys):
         code, out, _ = run(
@@ -207,6 +216,38 @@ class TestRegionCommand:
         assert code == 1
         assert "step" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--theta-step", "nan"], "finite"),
+            (["--gamma-step", "inf"], "finite"),
+            (["--theta-max", "nan"], "finite"),
+            (["--theta-step", "1e-6"], "exceeds"),
+            (["--theta-step", "5e-324", "--gamma-step", "5e-324"], "exceeds"),
+        ],
+        ids=["nan-step", "inf-step", "nan-max", "fine-step", "denormal-steps"],
+    )
+    def test_unbounded_grid_rejected_up_front(self, flags, message):
+        # A child process with a timeout and a memory cap, so that a grid
+        # that never stops growing fails the test instead of hanging it.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vat_game.cli", "region", "--preset", "section6", *flags],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert message in proc.stderr
+
 
 class TestAppendixCommand:
     def test_default_reproduction_succeeds(self, capsys):
@@ -237,6 +278,23 @@ class TestValidateCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["payoffs", "--preset", "appendix", "--regime", "bayesian", "--gamma", "2"],
+            ["validate", "--draws", "1", "--thresholds-every", "0"],
+            ["thresholds", "--preset", "section6", "--set", "x_o=0", "--set", "x_i=0"],
+            ["payoffs", "--preset", "appendix", "--precision", "-1"],
+        ],
+        ids=["gamma-2", "thresholds-every-0", "x_o-0", "precision-minus-1"],
+    )
+    def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("vat-game: error: ")
+
     def test_unknown_preset_exits_one(self, capsys):
         code, _, _ = run(capsys, ["payoffs", "--preset", "bogus"])
         assert code == 1

@@ -197,6 +197,63 @@ class TestGammaThresholds:
         )
 
 
+class TestBuyerThresholdsByMode:
+    """Each buyer closed form is the root of its own mode's payoff margin."""
+
+    POLICY = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, delta=1.0, s_v=0.3)
+    # x_o below 1 keeps the paper-literal gamma* = x_o/(1+s_v) inside [0, 1]
+    TE = TransactionEndowments(x_o=0.5, x_i=0.2, y_s=200.0, y_b=400.0)
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_theta_threshold_zeroes_the_margin(self, mode):
+        regime = AuditRegime(0.37)
+        star = buyer_theta_threshold(regime, self.POLICY, self.TE, mode).value
+        pref = compare(
+            Agent.BUYER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX_WITH_DEDUCTIONS,
+            regime, dataclasses.replace(self.POLICY, theta=star), self.TE, mode,
+        )
+        assert pref.margin == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_gamma_threshold_zeroes_the_margin(self, mode):
+        star = buyer_gamma_threshold(self.POLICY, self.TE, mode).value
+        pref = compare(
+            Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX,
+            AuditRegime(star), self.POLICY, self.TE, mode,
+        )
+        assert pref.margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_paper_literal_formulas(self):
+        literal = SanctionBaseMode.PAPER_LITERAL
+        te = small_te()
+        assert buyer_gamma_threshold(self.POLICY, te, literal).value == pytest.approx(
+            100.0 / 1.3
+        )
+        assert buyer_theta_threshold(
+            CERTAIN, self.POLICY, te, literal
+        ).value == pytest.approx((100.0 * 0.22 - 0.22 * 1.3) / (100.0 * 1.22))
+
+    def test_corrected_mode_needs_no_endowments(self):
+        assert buyer_gamma_threshold(self.POLICY) == buyer_gamma_threshold(
+            self.POLICY, small_te(), CORRECTED
+        )
+        assert buyer_theta_threshold(CERTAIN, self.POLICY) == buyer_theta_threshold(
+            CERTAIN, self.POLICY, small_te(), CORRECTED
+        )
+
+    def test_paper_literal_degenerate_inputs(self):
+        literal = SanctionBaseMode.PAPER_LITERAL
+        with pytest.raises(ValueError, match="pass te"):
+            buyer_gamma_threshold(self.POLICY, mode=literal)
+        empty = small_te(x_o=0.0, x_i=0.0)
+        assert buyer_gamma_threshold(self.POLICY, empty, literal).sentinel is (
+            Sentinel.UNDEFINED
+        )
+        assert buyer_theta_threshold(NO_AUDIT, self.POLICY, empty, literal).sentinel is (
+            Sentinel.UNDEFINED
+        )
+
+
 class TestDominantEvents:
     def test_seller_prefers_lt1_without_audit(self):
         policy = TaxPolicy(t_s=0.33, t_b=0.33, v=0.22)
