@@ -8,7 +8,6 @@ mismatch. All numeric output is locale-independent fixed point.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -280,19 +279,21 @@ def cmd_region(args: argparse.Namespace) -> int:
         )
     thetas, gammas = _axis(*theta_axis), _axis(*gamma_axis)
 
-    rows = []
-    for theta in thetas:  # theta outer, gamma inner, row-major
-        p = dataclasses.replace(policy, theta=theta)
-        for gamma in gammas:
-            best = coalition.coalition_best_event(gamma, p, te, mode)[0]
-            rows.append(
-                {
-                    "theta": float(theta),
-                    "gamma": float(gamma),
-                    "best_event": best.value,
-                    "complies": str(best is Event.COMPLY).lower(),
-                }
-            )
+    winners = coalition.coalition_best_events_grid(thetas, gammas, policy, te, mode)
+    labels = [
+        (event.value, str(event is Event.COMPLY).lower())
+        for event in coalition.COALITION_EVENTS
+    ]
+    rows = [
+        {
+            "theta": float(theta),
+            "gamma": float(gamma),
+            "best_event": labels[k][0],
+            "complies": labels[k][1],
+        }
+        for theta, row in zip(thetas, winners.tolist())  # theta outer, gamma inner
+        for gamma, k in zip(gammas, row)
+    ]
     _emit(rows, args.format, args.precision, args.out)
 
     frontier_rows = [
@@ -329,13 +330,16 @@ def cmd_appendix(args: argparse.Namespace) -> int:
         policy, te = build_parameters(args.preset, args.config, args.set)
 
     table = report.compute_appendix_table(policy, te)
+    try:
+        mismatches = report.diff_appendix_table(table, tolerance=args.tolerance)
+    except ValueError as exc:
+        raise ConfigError(f"--tolerance: {exc}") from exc
     rows = [
         {"row": row, **{col: table[row][col] for col in report.APPENDIX_COLUMNS}}
         for row in report.APPENDIX_ROWS
     ]
     _emit(rows, args.format, args.precision, args.out)
 
-    mismatches = report.diff_appendix_table(table, tolerance=args.tolerance)
     if mismatches:
         for m in mismatches:
             print(
@@ -356,6 +360,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigError("--draws must be >= 1")
     if args.thresholds_every < 1:
         raise ConfigError("--thresholds-every must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     rep = oracle.validate(
         seed=args.seed,
         draws=args.draws,
@@ -441,7 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.precision < 0:
             raise ConfigError("--precision must be >= 0")
         return args.func(args)
-    except (ConfigError, UndefinedEventError, FileNotFoundError) as exc:
+    except (ConfigError, UndefinedEventError, OSError) as exc:
         print(f"vat-game: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

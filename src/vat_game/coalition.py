@@ -15,13 +15,21 @@ Two frontier notions coexist:
   the printed last-transaction intercepts are inconsistent with the payoff
   definitions they were derived from; they are kept as reproduction
   anchors and for the published trade-off discussion.
+
+The coalition's best joint strategy is found per point by
+``coalition_best_event`` and over a whole (theta, gamma) raster by
+``coalition_best_events_grid``, which evaluates the engine once per joint
+strategy on broadcast arrays. Both apply the same tie rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
-from .dominance import ThresholdResult
+import numpy as np
+
+from .dominance import TIE_RTOL, ThresholdResult
 from .model import (
     AuditRegime,
     Event,
@@ -69,8 +77,13 @@ def coalition_payoff(
         raise UndefinedEventError(
             "the appendix variant does not participate in the coalition game"
         )
+    return _joint_payoff(event, AuditRegime(gamma), policy, te, mode)
+
+
+def _joint_payoff(event, regime, policy, te, mode):
+    """Buyer plus seller payoff; takes views whose fields may be arrays."""
     scenario = Scenario.TAX_WITH_DEDUCTIONS if event is Event.COMPLY else Scenario.TAX
-    pv = expected_payoff(scenario, AuditRegime(gamma), event, policy, te, mode)
+    pv = expected_payoff(scenario, regime, event, policy, te, mode)
     return pv.buyer + pv.seller
 
 
@@ -171,6 +184,16 @@ def gamma_for_compliance_without_deductions(
     return ThresholdResult.of(-line.intercept / line.slope)
 
 
+def _tied_for_best(payoffs, te: TransactionEndowments) -> np.ndarray:
+    """Which joint strategies tie for the best coalition payoff.
+
+    `payoffs` runs over COALITION_EVENTS along its first axis. A strategy
+    ties when its payoff comes within TIE_RTOL * te.scale of the best.
+    """
+    payoffs = np.asarray(payoffs)
+    return payoffs >= payoffs.max(axis=0) - TIE_RTOL * te.scale
+
+
 def coalition_best_event(
     gamma: float,
     policy: TaxPolicy,
@@ -178,10 +201,58 @@ def coalition_best_event(
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> tuple[Event, ...]:
     """Joint strategies maximizing the coalition payoff, ties in canonical order."""
-    payoffs = {
-        event: coalition_payoff(event, gamma, policy, te, mode)
+    payoffs = [
+        coalition_payoff(event, gamma, policy, te, mode) for event in COALITION_EVENTS
+    ]
+    tied = _tied_for_best(payoffs, te)
+    return tuple(e for e, t in zip(COALITION_EVENTS, tied) if t)
+
+
+def coalition_payoff_grid(
+    thetas,
+    gammas,
+    policy: TaxPolicy,
+    te: TransactionEndowments,
+    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
+) -> np.ndarray:
+    """Coalition payoff of every joint strategy on a (theta, gamma) grid.
+
+    Entry [k, i, j] is coalition_payoff(COALITION_EVENTS[k], gammas[j],
+    replace(policy, theta=thetas[i]), te, mode), bit for bit. theta and
+    gamma are validated once each, at their smallest and largest values;
+    every admissible range is an interval, so every point between them is
+    admissible too. The engine then runs once per joint strategy on plain
+    views of the policy (theta a column) and the regime (gamma a row).
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    gammas = np.asarray(gammas, dtype=float).reshape(1, -1)
+    if thetas.size == 0 or gammas.size == 0:
+        raise ValueError("theta and gamma axes must not be empty")
+    for theta in (thetas.min(), thetas.max()):
+        replace(policy, theta=float(theta))
+    for gamma in (gammas.min(), gammas.max()):
+        AuditRegime(float(gamma))
+    policy_view = SimpleNamespace(**{**vars(policy), "theta": thetas})
+    regime_view = SimpleNamespace(gamma=gammas)
+    payoffs = [
+        _joint_payoff(event, regime_view, policy_view, te, mode)
         for event in COALITION_EVENTS
-    }
-    best = max(payoffs.values())
-    tol = 1e-9 * te.scale
-    return tuple(e for e in COALITION_EVENTS if payoffs[e] >= best - tol)
+    ]
+    return np.stack(np.broadcast_arrays(*payoffs))
+
+
+def coalition_best_events_grid(
+    thetas,
+    gammas,
+    policy: TaxPolicy,
+    te: TransactionEndowments,
+    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
+) -> np.ndarray:
+    """Index into COALITION_EVENTS of the best joint strategy per grid cell.
+
+    Entry [i, j] names coalition_best_event(gammas[j], replace(policy,
+    theta=thetas[i]), te, mode)[0]: the first tied strategy in canonical
+    order.
+    """
+    payoffs = coalition_payoff_grid(thetas, gammas, policy, te, mode)
+    return _tied_for_best(payoffs, te).argmax(axis=0)

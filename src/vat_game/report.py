@@ -8,6 +8,7 @@ engine and diffed against the published figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -129,6 +130,8 @@ def diff_appendix_table(
     table: dict[str, dict[str, float]], tolerance: float = 0.5
 ) -> list[AppendixDiff]:
     """Cells deviating from the published figures by more than `tolerance`."""
+    if not math.isfinite(tolerance) or tolerance < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     mismatches = []
     for row in APPENDIX_ROWS:
         for column in APPENDIX_COLUMNS:

@@ -285,8 +285,17 @@ class TestUsage:
             ["validate", "--draws", "1", "--thresholds-every", "0"],
             ["thresholds", "--preset", "section6", "--set", "x_o=0", "--set", "x_i=0"],
             ["payoffs", "--preset", "appendix", "--precision", "-1"],
+            ["payoffs", "--config", str(Path(__file__).resolve().parent)],
+            ["appendix", "--preset", "appendix", "--set", "v=0.10", "--tolerance", "nan"],
+            ["appendix", "--tolerance", "-1"],
+            ["validate", "--seed", "-1", "--draws", "1"],
+            ["region", "--preset", "section6", "--set", "x_o=0"],
         ],
-        ids=["gamma-2", "thresholds-every-0", "x_o-0", "precision-minus-1"],
+        ids=[
+            "gamma-2", "thresholds-every-0", "x_o-0", "precision-minus-1",
+            "config-is-directory", "tolerance-nan", "tolerance-minus-1", "seed-minus-1",
+            "region-x_o-0",
+        ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -3,15 +3,19 @@ import dataclasses
 import pytest
 
 from vat_game.coalition import (
+    COALITION_EVENTS,
     FRONTIER_VARIANTS,
     coalition_best_event,
+    coalition_best_events_grid,
     coalition_payoff,
+    coalition_payoff_grid,
     gamma_for_compliance_without_deductions,
     published_theta_frontier,
     theta_frontier,
 )
 from vat_game.dominance import Sentinel
 from vat_game.model import Event, SanctionBaseMode, TaxPolicy, UndefinedEventError
+from vat_game.oracle import iter_draws
 
 CORRECTED = SanctionBaseMode.CORRECTED
 LITERAL = SanctionBaseMode.PAPER_LITERAL
@@ -169,3 +173,57 @@ class TestCoalitionBestEvent:
         )
         p = dataclasses.replace(policy, theta=min(1.0, highest + 0.01))
         assert coalition_best_event(0.0, p, te, CORRECTED) == (Event.COMPLY,)
+
+
+class TestBestEventsGrid:
+    """The array path against the scalar path, cell by cell."""
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode), ids=lambda m: m.value)
+    def test_matches_scalar_path_on_draws(self, mode):
+        ties = 0
+        for draw in iter_draws(5, 50):
+            policy, te = draw.policy, draw.te
+            # At the highest frontier's intercept and gamma = 0 the best
+            # evasion variant and COMPLY tie within the tie band.
+            binding = max(
+                theta_frontier(v, policy, te, mode).intercept for v in FRONTIER_VARIANTS
+            )
+            binding_admissible = 0.0 <= binding <= 1.0
+            thetas = [0.0, 0.05, 0.5, 1.0] + ([binding] if binding_admissible else [])
+            gammas = [0.0, 0.3, 0.7, 1.0]
+            payoffs = coalition_payoff_grid(thetas, gammas, policy, te, mode)
+            winners = coalition_best_events_grid(thetas, gammas, policy, te, mode)
+            assert payoffs.shape == (len(COALITION_EVENTS), len(thetas), len(gammas))
+            assert winners.shape == (len(thetas), len(gammas))
+            for i, theta in enumerate(thetas):
+                p = dataclasses.replace(policy, theta=theta)
+                for j, gamma in enumerate(gammas):
+                    best = coalition_best_event(gamma, p, te, mode)
+                    assert COALITION_EVENTS[winners[i, j]] is best[0], (draw.tag, theta, gamma)
+                    for k, event in enumerate(COALITION_EVENTS):
+                        scalar = coalition_payoff(event, gamma, p, te, mode)
+                        assert float(payoffs[k, i, j]).hex() == scalar.hex()
+            if binding_admissible:
+                tied = coalition_best_event(
+                    0.0, dataclasses.replace(policy, theta=binding), te, mode
+                )
+                assert tied[0] is Event.COMPLY and len(tied) >= 2, draw.tag
+                assert winners[4, 0] == 0
+                ties += 1
+        assert ties > 0
+
+    @pytest.mark.parametrize(
+        "thetas, gammas",
+        [
+            ([0.0, 1.5], [0.5]),
+            ([0.5], [-0.1, 0.5]),
+            ([float("nan")], [0.5]),
+            ([0.5], [0.2, float("inf")]),
+            ([], [0.5]),
+        ],
+        ids=["theta-above-1", "gamma-below-0", "theta-nan", "gamma-inf", "empty"],
+    )
+    def test_inadmissible_axis_rejected(self, section6_params, thetas, gammas):
+        policy, te = section6_params
+        with pytest.raises(ValueError):
+            coalition_best_events_grid(thetas, gammas, policy, te)
