@@ -43,14 +43,11 @@ _MODES = {m.value: m for m in SanctionBaseMode}
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the CLI contract wants 1.
+    # argparse prints the usage and exits 2 on usage errors by default; the
+    # CLI contract wants one line and exit 1.
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -377,7 +374,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
+        "--mode", choices=list(_MODES), default=SanctionBaseMode.CORRECTED.value
+    )
+    common = argparse.ArgumentParser(add_help=False, parents=[mode])
     common.add_argument("--preset", choices=["appendix", "section6"], default=None)
     common.add_argument("--config", metavar="FILE", default=None)
     common.add_argument(
@@ -386,9 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         help="override a single parameter (highest precedence, repeatable)",
-    )
-    common.add_argument(
-        "--mode", choices=list(_MODES), default=SanctionBaseMode.CORRECTED.value
     )
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--precision", type=int, default=6, metavar="N")
@@ -422,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.5, metavar="CURRENCY")
     p.set_defaults(func=cmd_appendix)
 
-    p = sub.add_parser("validate", parents=[common], help="brute-force oracle run")
+    # validate draws its own parameters and prints a fixed report, so it
+    # takes no parameter or output option.
+    p = sub.add_parser("validate", parents=[mode], help="brute-force oracle run")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--draws", type=int, default=10_000)
     p.add_argument(
@@ -444,7 +444,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.precision < 0:
+        if getattr(args, "precision", 0) < 0:
             raise ConfigError("--precision must be >= 0")
         return args.func(args)
     except (ConfigError, UndefinedEventError, OSError) as exc:

@@ -184,14 +184,16 @@ def gamma_for_compliance_without_deductions(
     return ThresholdResult.of(-line.intercept / line.slope)
 
 
-def _tied_for_best(payoffs, te: TransactionEndowments) -> np.ndarray:
-    """Which joint strategies tie for the best coalition payoff.
+def tied_for_best(payoffs, scale) -> np.ndarray:
+    """Which strategies tie for the best payoff: the argmax with ties.
 
-    `payoffs` runs over COALITION_EVENTS along its first axis. A strategy
-    ties when its payoff comes within TIE_RTOL * te.scale of the best.
+    `payoffs` runs over the competing strategies along its first axis. A
+    strategy ties when its payoff comes within TIE_RTOL * scale of the best;
+    `scale` is the transaction scale, `te.scale`, and may be an array that
+    broadcasts against one strategy's payoffs.
     """
     payoffs = np.asarray(payoffs)
-    return payoffs >= payoffs.max(axis=0) - TIE_RTOL * te.scale
+    return payoffs >= payoffs.max(axis=0) - TIE_RTOL * scale
 
 
 def coalition_best_event(
@@ -204,7 +206,7 @@ def coalition_best_event(
     payoffs = [
         coalition_payoff(event, gamma, policy, te, mode) for event in COALITION_EVENTS
     ]
-    tied = _tied_for_best(payoffs, te)
+    tied = tied_for_best(payoffs, te.scale)
     return tuple(e for e, t in zip(COALITION_EVENTS, tied) if t)
 
 
@@ -255,4 +257,4 @@ def coalition_best_events_grid(
     order.
     """
     payoffs = coalition_payoff_grid(thetas, gammas, policy, te, mode)
-    return _tied_for_best(payoffs, te).argmax(axis=0)
+    return tied_for_best(payoffs, te.scale).argmax(axis=0)

@@ -1,8 +1,8 @@
 """Pairwise strategy comparisons and closed-form compliance thresholds.
 
 Every threshold here is an explicit formula; the oracle module re-derives
-each one by a bracketing root search on a payoff margin of the engine, and
-the two must agree.
+each one as the root of a payoff margin of the engine, and the two must
+agree.
 """
 
 from __future__ import annotations

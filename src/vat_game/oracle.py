@@ -1,25 +1,50 @@
 """Brute-force validation of every closed-form result in the package.
 
-Nothing here reuses a closed form: best responses are recomputed by
-exhaustive enumeration over the payoff engine, and thresholds by a
-bracketing root search on the relevant payoff margin (a single-crossing
-check on an array of samples, then Illinois regula falsi). A seeded batch
-run checks that the analytical layer (dominance, coalition) agrees
-everywhere.
+`validate` checks the analytical layer against the payoff engine over a
+seeded batch of random parameter draws. It works through the batch
+BLOCK_DRAWS draws at a time, each block as arrays, so memory stays bounded
+for any batch size.
+
+Best responses. For each scenario and event, `expected_payoff` runs once,
+with the audit rate gamma in {0, 0.37, 1} as a column and the draws as a
+row. The events within the tie band of an agent's best payoff
+(`coalition.tied_for_best`) are the engine's best responses. A rule built
+from the closed forms must name the same tie set. It prices each evasion by
+its expected gain over complying, which gains 0, under the same tie band:
+
+* seller: g_lt1 = t_s*x_o - (1-t_s)*v*x_i, g_lt2 = t_s*(x_o-x_i) - v*x_i and
+  g_wt = t_s*(x_o-x_i), each less the expected sanction
+  gamma*x_o*t_s*(1+s_ys);
+* buyer: every evasion saves the VAT bill x_o*v, or with deductions
+  x_o*(v*delta - theta*(1+v*delta)), the discounted bill less the deduction
+  it forgoes. It risks the expected sanction gamma*v*(1+s_v), levied on the
+  evaded tax x_o*v in CORRECTED mode (Yitzhaki 1974) and on no base in
+  PAPER_LITERAL mode (Allingham and Sandmo 1972);
+* without taxes every event gains 0, so all four tie.
+
+The rule never calls the engine, so a fault in either side shows.
+
+Thresholds. Every margin the oracle searches is affine in its varied
+parameter: each payoff is linear in each rate, and the audit mixture is
+linear in gamma. One array call evaluates the margin at both ends of the
+range and at its midpoint, for every draw. The root is the zero of the
+secant through the two ends, where the margin changes sign. A midpoint off
+that line by more than TIE_RTOL * scale shows a margin that is not affine,
+and is reported. The closed form of `dominance` must match the root within
+the tolerance. `oracle_threshold` is the same search on one draw.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import coalition, dominance
-from .dominance import Agent, ThresholdResult
+from .dominance import TIE_RTOL, Agent, Sentinel, ThresholdResult, agent_payoff
 from .model import (
     CANONICAL_EVENTS,
     AuditRegime,
@@ -31,15 +56,12 @@ from .model import (
     expected_payoff,
 )
 
-#: Absolute tolerance of the threshold search on the varied parameter.
-BISECT_TOL = 1e-10
-
-#: Sample count for the empirical single-crossing check before refining.
-MONOTONE_SAMPLES = 33
+#: Draws validated per array pass. It bounds memory; reports do not depend on it.
+BLOCK_DRAWS = 4096
 
 
 class NonMonotoneError(RuntimeError):
-    """Sampled payoff margins are not single-crossing in the varied parameter."""
+    """A payoff margin is not affine in the varied parameter."""
 
 
 @dataclass(frozen=True)
@@ -49,37 +71,76 @@ class ParameterDraw:
     tag: str  # seed-derived provenance, e.g. "seed42/17"
 
 
-def draw_parameters(rng: np.random.Generator, tag: str) -> ParameterDraw:
-    """One admissible random parameter set.
+_POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(TaxPolicy))
+_TE_FIELDS = tuple(f.name for f in dataclasses.fields(TransactionEndowments))
+#: The order in which one draw takes its uniforms.
+_DRAW_ORDER = ("x_o", "t_s", "t_b", "v", "delta", "theta", "s_v", "s_ys", "x_i", "y_s", "y_b")
 
-    Rates uniform on [0, 0.6], sanctions uniform on [0, 1], x_o log-uniform
-    on [10, 1e5], x_i uniform on [0, x_o], incomes log-uniform on
-    [1e3, 1e6]. Wide enough to cover all worked examples with margin.
+
+def _log_uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # Python's power, one element at a time: numpy's differs from it in the
+    # last bit on about one draw in seven.
+    return np.array([10.0 ** x for x in (lo + (hi - lo) * u).tolist()])
+
+
+def _draw_block(
+    rng: np.random.Generator, n: int
+) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """n admissible random parameter sets, as a policy view and a te view.
+
+    Each field of a view is an array with one element per draw. Rates are
+    uniform on [0, 0.6]; delta, theta and the sanctions on [0, 1]; x_o is
+    log-uniform on [10, 1e5], x_i uniform on [0, x_o] and the incomes
+    log-uniform on [1e3, 1e6]. That is wide enough to cover all worked
+    examples with margin. All uniforms come from one rng.random((n, 11))
+    call, scaled as rng.uniform(lo, hi) scales them, lo + (hi - lo)*u, so
+    the draws are those of one rng.uniform call per parameter in _DRAW_ORDER.
     """
-    x_o = float(10.0 ** rng.uniform(1.0, 5.0))
-    policy = TaxPolicy(
-        t_s=float(rng.uniform(0.0, 0.6)),
-        t_b=float(rng.uniform(0.0, 0.6)),
-        v=float(rng.uniform(0.0, 0.6)),
-        delta=float(rng.uniform(0.0, 1.0)),
-        theta=float(rng.uniform(0.0, 1.0)),
-        s_v=float(rng.uniform(0.0, 1.0)),
-        s_ys=float(rng.uniform(0.0, 1.0)),
+    u = dict(zip(_DRAW_ORDER, rng.random((n, len(_DRAW_ORDER))).T))
+    x_o = _log_uniform(u["x_o"], 1.0, 5.0)
+    policy = SimpleNamespace(
+        t_s=0.6 * u["t_s"],
+        t_b=0.6 * u["t_b"],
+        v=0.6 * u["v"],
+        delta=u["delta"],
+        theta=u["theta"],
+        s_v=u["s_v"],
+        s_ys=u["s_ys"],
     )
-    te = TransactionEndowments(
+    te = SimpleNamespace(
         x_o=x_o,
-        x_i=float(rng.uniform(0.0, x_o)),
-        y_s=float(10.0 ** rng.uniform(3.0, 6.0)),
-        y_b=float(10.0 ** rng.uniform(3.0, 6.0)),
+        x_i=x_o * u["x_i"],
+        y_s=_log_uniform(u["y_s"], 3.0, 6.0),
+        y_b=_log_uniform(u["y_b"], 3.0, 6.0),
     )
-    return ParameterDraw(policy, te, tag)
+    return policy, te
+
+
+def _blocks(
+    seed: int, count: int
+) -> Iterator[tuple[int, SimpleNamespace, SimpleNamespace]]:
+    """(index of the first draw, policy view, te view) per block of draws."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, BLOCK_DRAWS):
+        yield (start, *_draw_block(rng, min(BLOCK_DRAWS, count - start)))
+
+
+def _parameter_draws(
+    policy: SimpleNamespace, te: SimpleNamespace, seed: int, start: int
+) -> list[ParameterDraw]:
+    """A block's draws as validated parameter objects, tagged by index."""
+    policies = zip(*(getattr(policy, name).tolist() for name in _POLICY_FIELDS))
+    tes = zip(*(getattr(te, name).tolist() for name in _TE_FIELDS))
+    return [
+        ParameterDraw(TaxPolicy(*p), TransactionEndowments(*t), f"seed{seed}/{start + k}")
+        for k, (p, t) in enumerate(zip(policies, tes))
+    ]
 
 
 def iter_draws(seed: int, count: int) -> Iterator[ParameterDraw]:
     """Deterministic draw sequence: same seed, same draws, any parallelism."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        yield draw_parameters(rng, f"seed{seed}/{i}")
+    for start, policy, te in _blocks(seed, count):
+        yield from _parameter_draws(policy, te, seed, start)
 
 
 def oracle_best_response(
@@ -89,16 +150,16 @@ def oracle_best_response(
     draw: ParameterDraw,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> tuple[Event, ...]:
-    """Exhaustive argmax over the canonical events, via expected_payoff only."""
-    payoffs = {
-        event: dominance.agent_payoff(
-            agent, expected_payoff(scenario, regime, event, draw.policy, draw.te, mode)
-        )
-        for event in CANONICAL_EVENTS
-    }
-    best = max(payoffs.values())
-    tol = dominance.TIE_RTOL * draw.te.scale
-    return tuple(e for e in CANONICAL_EVENTS if payoffs[e] >= best - tol)
+    """Exhaustive argmax over the canonical events, via expected_payoff only.
+
+    `validate` takes the same argmax on arrays of draws.
+    """
+    payoffs = [
+        agent_payoff(agent, expected_payoff(scenario, regime, e, draw.policy, draw.te, mode))
+        for e in CANONICAL_EVENTS
+    ]
+    tied = coalition.tied_for_best(payoffs, draw.te.scale)
+    return tuple(e for e, t in zip(CANONICAL_EVENTS, tied) if t)
 
 
 @dataclass(frozen=True)
@@ -123,40 +184,34 @@ _OWNER = {
     for f in dataclasses.fields(cls)
 }
 
-Margin = Callable[[float | np.ndarray], float | np.ndarray]
+Margin = Callable[[np.ndarray], np.ndarray]
 
 
 def _margin_fn(
     varied_parameter: str,
     comparison: Comparison,
-    draw: ParameterDraw,
+    policy: TaxPolicy | SimpleNamespace,
+    te: TransactionEndowments | SimpleNamespace,
     mode: SanctionBaseMode,
-    lo: float,
-    hi: float,
 ) -> Margin:
     """The comparison's payoff margin as a function of one parameter.
 
     The margin takes a float or an ndarray of parameter values and returns
     agent_payoff(first) - agent_payoff(second) over `expected_payoff`: at
-    each point, the value of `dominance.compare(...).margin`. The varied
-    parameter is validated once, at `lo` and `hi`, by its dataclass; every
-    admissible range is an interval, so every point between them is
-    admissible too. Evaluation runs on a plain view of the draw with the
-    varied field replaced, which broadcasts over arrays.
+    each point, the value of `dominance.compare(...).margin`. `policy` and
+    `te` may be views whose fields are arrays with one element per draw; the
+    parameter values broadcast against them. Evaluation runs on a plain view
+    with the varied field replaced and validates nothing.
     """
-    owner = _OWNER.get(varied_parameter)
-    if owner is None:
-        raise ValueError(f"unknown parameter {varied_parameter!r}")
-    inputs = {"policy": draw.policy, "te": draw.te, "regime": comparison.regime}
-    for x in (lo, hi):
-        dataclasses.replace(inputs[owner], **{varied_parameter: x})
+    owner = _OWNER[varied_parameter]
+    inputs = {"policy": policy, "te": te, "regime": comparison.regime}
     fields = vars(inputs[owner])
     agent, scenario = comparison.agent, comparison.scenario
 
     def margin(x):
         view = {**inputs, owner: SimpleNamespace(**{**fields, varied_parameter: x})}
         first, second = (
-            dominance.agent_payoff(
+            agent_payoff(
                 agent,
                 expected_payoff(
                     scenario, view["regime"], event, view["policy"], view["te"], mode
@@ -169,6 +224,42 @@ def _margin_fn(
     return margin
 
 
+class _Roots(NamedTuple):
+    """Per draw: where an affine margin crosses zero, and how it was found."""
+
+    value: np.ndarray  # the root; NaN where the margin keeps one sign
+    sign: np.ndarray  # that sign, +1 or -1; 0 where there is a root
+    defect: np.ndarray  # distance of the midpoint from the secant
+
+
+def _affine_roots(margin: Margin, lo: float, hi: float) -> _Roots:
+    """Where a margin affine in its parameter changes sign on [lo, hi].
+
+    One call evaluates the margin at lo, the midpoint and hi, for every
+    draw. The root is the secant's zero where the margin changes sign
+    strictly, and lo where it is zero at both ends. Elsewhere the margin
+    keeps one sign over the range, a zero at one end included.
+    """
+    xs = np.array([[lo], [0.5 * (lo + hi)], [hi]])
+    m = np.asarray(margin(xs), dtype=float)
+    m_lo, m_mid, m_hi = np.broadcast_to(m, np.broadcast_shapes(m.shape, (3, 1)))
+    s_lo, s_hi = np.sign(m_lo), np.sign(m_hi)
+    crossing = s_lo * s_hi < 0
+    sign = np.where(crossing, 0.0, s_lo + s_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = lo + (hi - lo) * (m_lo / (m_lo - m_hi))
+    value = np.where(crossing, secant, np.where(sign == 0.0, lo, np.nan))
+    return _Roots(value, sign, np.abs(m_mid - 0.5 * (m_lo + m_hi)))
+
+
+def _threshold_result(value: float, sign: float) -> ThresholdResult:
+    if sign > 0:
+        return ThresholdResult.always_satisfied()
+    if sign < 0:
+        return ThresholdResult.never_satisfied()
+    return ThresholdResult.of(float(value))
+
+
 def oracle_threshold(
     varied_parameter: str,
     comparison: Comparison,
@@ -179,94 +270,27 @@ def oracle_threshold(
 ) -> ThresholdResult:
     """Locate the margin's sign change in [lo, hi].
 
-    The margin must be single-crossing over the range; this is asserted on
-    MONOTONE_SAMPLES equispaced samples and violated expectations fail
-    loudly. With no sign change, the constant sign is reported as an
-    always/never sentinel on the first-preferred condition.
+    The varied parameter is validated once, at `lo` and `hi`, by its
+    dataclass; every admissible range is an interval, so every point between
+    them is admissible too. The margin must be affine over the range: a
+    midpoint off the secant by more than TIE_RTOL * scale raises
+    NonMonotoneError. With no sign change, the constant sign is reported as
+    an always/never sentinel on the first-preferred condition.
     """
-    margin = _margin_fn(varied_parameter, comparison, draw, mode, lo, hi)
-    return bisect_single_crossing(margin, lo, hi, what=f"{varied_parameter!r} for {comparison}")
-
-
-def bisect_single_crossing(
-    margin: Margin,
-    lo: float,
-    hi: float,
-    what: str = "margin",
-) -> ThresholdResult:
-    """Single-crossing check plus bracketed refinement on an arbitrary margin.
-
-    The margin must accept an ndarray: the check evaluates it once on all
-    MONOTONE_SAMPLES points. The first sample that is zero or whose sign
-    differs from the next one's brackets the crossing, which
-    `_refine_bracket` narrows to BISECT_TOL.
-    """
-    xs = np.linspace(lo, hi, MONOTONE_SAMPLES)
-    ys = np.broadcast_to(margin(xs), xs.shape)
-    signs = (ys > 0).astype(int) - (ys < 0)
-    left, right = signs[:-1], signs[1:]
-    crossings = np.count_nonzero((left != 0) & (right != 0) & (left != right))
-    if crossings > 1:
+    owner = _OWNER.get(varied_parameter)
+    if owner is None:
+        raise ValueError(f"unknown parameter {varied_parameter!r}")
+    inputs = {"policy": draw.policy, "te": draw.te, "regime": comparison.regime}
+    for x in (lo, hi):
+        dataclasses.replace(inputs[owner], **{varied_parameter: x})
+    margin = _margin_fn(varied_parameter, comparison, draw.policy, draw.te, mode)
+    (value,), (sign,), (defect,) = _affine_roots(margin, lo, hi)
+    if defect > TIE_RTOL * draw.te.scale:
         raise NonMonotoneError(
-            f"margin in {what} is not single-crossing on [{lo}, {hi}]"
+            f"margin in {varied_parameter!r} for {comparison} is not affine on "
+            f"[{lo}, {hi}]: the midpoint is {defect:.3e} off the secant"
         )
-
-    nonzero = signs[signs != 0]
-    if crossings == 0 and np.all(nonzero == nonzero[:1]):
-        if nonzero.size == 0:
-            return ThresholdResult.of(lo)  # identically zero: degenerate tie
-        if nonzero[0] > 0:
-            return ThresholdResult.always_satisfied()
-        return ThresholdResult.never_satisfied()
-
-    i = np.flatnonzero((left == 0) | (left != right))[0]
-    if signs[i] == 0:
-        return ThresholdResult.of(float(xs[i]))
-    return _refine_bracket(
-        margin, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1])
-    )
-
-
-def _refine_bracket(
-    margin: Margin, a: float, b: float, fa: float, fb: float
-) -> ThresholdResult:
-    """Narrow the bracket [a, b] to BISECT_TOL by Illinois regula falsi.
-
-    fa is nonzero and fb has the other sign or is zero. Each step keeps the
-    sub-bracket whose ends differ in sign. When the same end is kept twice
-    running, its stored margin is halved, so the secant cannot stall against
-    it. An interpolation step that fails to halve the bracket is followed by
-    a midpoint step, so the search needs at most about twice the steps of
-    bisection. Interpolated points keep half a tolerance (or one float,
-    where that is wider) from both ends: a root within that of an end is
-    then bracketed to within the tolerance by the next step.
-    """
-    kept = 0  # +1 when the last step kept b, -1 when it kept a
-    midpoint_next = False
-    while b - a > BISECT_TOL:
-        width = b - a
-        if midpoint_next:
-            x = 0.5 * (a + b)
-        else:
-            edge = max(0.5 * BISECT_TOL, math.ulp(max(abs(a), abs(b))))
-            x = min(max(a - fa * width / (fb - fa), a + edge), b - edge)
-        if not a < x < b:
-            break  # a and b are adjacent floats, wider apart than the tolerance
-        fx = float(margin(x))
-        if fx == 0.0:
-            return ThresholdResult.of(x)
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-            if kept > 0:
-                fb *= 0.5
-            kept = 1
-        else:
-            b, fb = x, fx
-            if kept < 0:
-                fa *= 0.5
-            kept = -1
-        midpoint_next = not midpoint_next and b - a > 0.5 * width
-    return ThresholdResult.of(0.5 * (a + b))
+    return _threshold_result(value, sign)
 
 
 @dataclass
@@ -295,38 +319,58 @@ class ValidationReport:
         ]
 
 
-_REGIMES = (AuditRegime(0.0), AuditRegime(0.37), AuditRegime(1.0))
+#: Audit rates of the best-response checks.
+_GAMMAS = (0.0, 0.37, 1.0)
 _SCENARIOS = (Scenario.NO_TAXES, Scenario.TAX, Scenario.TAX_WITH_DEDUCTIONS)
+#: Best-response checks per draw: scenarios x audit rates x agents.
+_BEST_RESPONSE_CASES = len(_SCENARIOS) * len(_GAMMAS) * len(Agent)
 
-#: Closed-form thresholds checked against the oracle's search: name, varied
-#: parameter, comparison builder, closed-form evaluator (of the draw and the
-#: sanction base mode), sweep range, applicability guard (skips draws where
-#: the margin is identically zero and the closed form vacuous).
+
+class _ThresholdCase(NamedTuple):
+    """A closed-form threshold and the margin whose root it must be.
+
+    `applies` skips draws where the margin is identically zero and the
+    closed form vacuous. The closed form takes the draw and the sanction
+    base mode.
+    """
+
+    name: str
+    varied: str
+    comparison: Comparison
+    closed_form: Callable[[ParameterDraw, SanctionBaseMode], ThresholdResult]
+    lo: float
+    hi: float
+    applies: Callable[[ParameterDraw], bool]
+
+
+_SELLER_COMPLY_VS_LT2 = Comparison(
+    Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
+)
+
+#: Closed-form thresholds checked against the oracle's root search.
 _THRESHOLD_CASES = (
-    (
+    _ThresholdCase(
         "seller_tax_threshold",
         "t_s",
-        lambda d: Comparison(
-            Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
-        ),
+        _SELLER_COMPLY_VS_LT2,
         lambda d, mode: dominance.seller_tax_threshold(d.policy, d.te),
-        (0.0, 0.999),
+        0.0,
+        0.999,
         lambda d: d.te.x_o != d.te.x_i,
     ),
-    (
+    _ThresholdCase(
         "vat_rate_threshold",
         "v",
-        lambda d: Comparison(
-            Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
-        ),
+        _SELLER_COMPLY_VS_LT2,
         lambda d, mode: dominance.vat_rate_threshold(d.policy, d.te),
-        (0.0, 0.999),
+        0.0,
+        0.999,
         lambda d: d.te.x_i > 0.0,
     ),
-    (
+    _ThresholdCase(
         "buyer_theta_threshold",
         "theta",
-        lambda d: Comparison(
+        Comparison(
             Agent.BUYER,
             Event.COMPLY,
             Event.EVADE_LT1,
@@ -336,94 +380,162 @@ _THRESHOLD_CASES = (
         lambda d, mode: dominance.buyer_theta_threshold(
             AuditRegime(0.37), d.policy, d.te, mode
         ),
-        (0.0, 1.0),
+        0.0,
+        1.0,
         lambda d: d.te.x_o > 0.0,
     ),
-    (
+    _ThresholdCase(
         "buyer_gamma_threshold",
         "gamma",
-        lambda d: Comparison(
-            Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
-        ),
+        Comparison(Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
         lambda d, mode: dominance.buyer_gamma_threshold(d.policy, d.te, mode),
-        (0.0, 1.0),
+        0.0,
+        1.0,
         lambda d: d.policy.v > 0.0 and d.te.x_o > 0.0,
     ),
-    (
+    _ThresholdCase(
         "seller_gamma_threshold_ewt",
         "gamma",
-        lambda d: Comparison(
-            Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
-        ),
+        Comparison(Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
         lambda d, mode: dominance.seller_gamma_threshold_ewt(d.policy, d.te),
-        (0.0, 1.0),
+        0.0,
+        1.0,
         lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
     ),
-    (
+    _ThresholdCase(
         "seller_gamma_threshold_elt2",
         "gamma",
-        lambda d: Comparison(
-            Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
-        ),
+        _SELLER_COMPLY_VS_LT2,
         lambda d, mode: dominance.seller_gamma_threshold_elt2(d.policy, d.te),
-        (0.0, 1.0),
+        0.0,
+        1.0,
         lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
     ),
 )
 
 
-def _check_best_responses(
-    draw: ParameterDraw, mode: SanctionBaseMode, report: ValidationReport
-) -> None:
-    for scenario in _SCENARIOS:
-        for regime in _REGIMES:
-            for agent in Agent:
-                expected = dominance.dominant_events(
-                    agent, scenario, regime, draw.policy, draw.te, mode
-                )
-                got = oracle_best_response(agent, scenario, regime, draw, mode)
-                report.best_response_checks += 1
-                if expected != got:
-                    report.failures.append(
-                        f"best-response mismatch [{draw.tag}] {agent.value} "
-                        f"{scenario.value} gamma={regime.gamma}: "
-                        f"analytic={expected} oracle={got}"
+def _rule_gains(agent, scenario, gamma, policy, te, mode) -> list:
+    """Each canonical event's expected gain over complying, by the closed forms.
+
+    See the module docstring. Fields of `policy` and `te` and `gamma` may be
+    arrays that broadcast against each other.
+    """
+    zero = np.zeros(np.broadcast_shapes(np.shape(gamma), np.shape(te.x_o)))
+    if scenario is Scenario.NO_TAXES:
+        return [zero] * len(CANONICAL_EVENTS)
+    t_s, v, x_o, x_i = policy.t_s, policy.v, te.x_o, te.x_i
+    if agent is Agent.SELLER:
+        sanction = gamma * x_o * t_s * (1.0 + policy.s_ys)
+        g_wt = t_s * (x_o - x_i)
+        g_lt1 = t_s * x_o - (1.0 - t_s) * v * x_i
+        return [zero, g_lt1 - sanction, g_wt - v * x_i - sanction, g_wt - sanction]
+    sanction = gamma * v * (1.0 + policy.s_v)
+    if mode is SanctionBaseMode.CORRECTED:
+        sanction = sanction * x_o
+    if scenario is Scenario.TAX:
+        saved = x_o * v
+    else:
+        dv = policy.delta * v
+        saved = x_o * (dv - policy.theta * (1.0 + dv))
+    gain = saved - sanction
+    return [zero, gain, gain, gain]
+
+
+def _events(tied) -> list[str]:
+    return [e.value for e, t in zip(CANONICAL_EVENTS, tied) if t]
+
+
+def _check_best_responses(policy, te, scale, draws, mode) -> list[tuple[int, int, str]]:
+    """The engine's argmax against the closed-form rule, 18 cases per draw.
+
+    Returns (draw in the block, check rank, message) per mismatch.
+    """
+    gammas = np.array(_GAMMAS).reshape(-1, 1)
+    regime = SimpleNamespace(gamma=gammas)
+    failures = []
+    for s, scenario in enumerate(_SCENARIOS):
+        payoffs = [
+            expected_payoff(scenario, regime, event, policy, te, mode)
+            for event in CANONICAL_EVENTS
+        ]
+        for a, agent in enumerate(Agent):
+            engine = coalition.tied_for_best(
+                np.broadcast_arrays(*(agent_payoff(agent, pv) for pv in payoffs)), scale
+            )
+            rule = coalition.tied_for_best(
+                np.broadcast_arrays(*_rule_gains(agent, scenario, gammas, policy, te, mode)),
+                scale,
+            )
+            for g, k in zip(*np.nonzero((engine != rule).any(axis=0))):
+                failures.append(
+                    (
+                        k,
+                        (s * len(_GAMMAS) + g) * len(Agent) + a,
+                        f"best-response mismatch [{draws[k].tag}] {agent.value} "
+                        f"{scenario.value} gamma={_GAMMAS[g]}: analytic="
+                        f"{_events(rule[:, g, k])} oracle={_events(engine[:, g, k])}",
                     )
+                )
+    return failures
 
 
 def _check_thresholds(
-    draw: ParameterDraw, mode: SanctionBaseMode, report: ValidationReport, atol: float
-) -> None:
-    for name, param, make_cmp, closed_form, (lo, hi), applies in _THRESHOLD_CASES:
-        if not applies(draw):
+    policy, te, scale, draws, rows, mode, atol, report
+) -> list[tuple[int, int, str]]:
+    """Each closed form against the affine root of its margin, on `rows`.
+
+    Adds the checks and the largest deviation to `report`; returns
+    (draw in the block, check rank, message) per failure.
+    """
+    failures = []
+    for rank, case in enumerate(_THRESHOLD_CASES, start=_BEST_RESPONSE_CASES):
+        lo, hi = case.lo, case.hi
+        analytic = np.full(len(draws), np.nan)
+        for k in rows:
+            if case.applies(draws[k]):
+                result = case.closed_form(draws[k], mode)
+                if result.sentinel is Sentinel.VALUE and lo <= result.value <= hi:
+                    analytic[k] = result.value
+        checked = ~np.isnan(analytic)
+        if not checked.any():
             continue
-        analytic = closed_form(draw, mode)
-        if analytic.sentinel is not dominance.Sentinel.VALUE:
-            continue
-        if not lo <= analytic.value <= hi:
-            continue  # crossing outside the admissible sweep range
-        try:
-            bisected = oracle_threshold(param, make_cmp(draw), draw, mode, lo, hi)
-        except NonMonotoneError as exc:
-            report.failures.append(f"non-monotone [{draw.tag}] {name}: {exc}")
-            continue
-        report.threshold_checks += 1
-        if bisected.sentinel is not dominance.Sentinel.VALUE:
-            # A flat margin near zero gain: accept if the analytic bound sits
-            # at the edge of the range, otherwise report.
-            if min(analytic.value - lo, hi - analytic.value) > atol:
-                report.failures.append(
-                    f"threshold sentinel mismatch [{draw.tag}] {name}: "
-                    f"analytic={analytic.value} oracle={bisected.sentinel.value}"
-                )
-            continue
-        deviation = abs(bisected.value - analytic.value)
-        report.max_threshold_deviation = max(report.max_threshold_deviation, deviation)
-        if deviation > atol:
-            report.failures.append(
-                f"threshold mismatch [{draw.tag}] {name}: "
-                f"analytic={analytic.value} bisected={bisected.value}"
+        roots = _affine_roots(
+            _margin_fn(case.varied, case.comparison, policy, te, mode), lo, hi
+        )
+        affine = roots.defect <= TIE_RTOL * scale
+        counted = checked & affine
+        report.threshold_checks += int(np.count_nonzero(counted))
+        at_root = counted & (roots.sign == 0.0)
+        deviation = np.abs(roots.value - analytic)
+        if at_root.any():
+            report.max_threshold_deviation = max(
+                report.max_threshold_deviation, float(deviation[at_root].max())
             )
+        # No crossing: accept a closed form at the edge of the range, where
+        # the margin is flat near zero gain; report any other.
+        inside = np.minimum(analytic - lo, hi - analytic) > atol
+        sentinel = counted & (roots.sign != 0.0) & inside
+        missed = at_root & (deviation > atol)
+        for k in np.flatnonzero((checked & ~affine) | sentinel | missed):
+            where = f"[{draws[k].tag}] {case.name}:"
+            if not affine[k]:
+                message = (
+                    f"non-affine margin {where} the midpoint is "
+                    f"{roots.defect[k]:.3e} off the secant"
+                )
+            elif sentinel[k]:
+                oracle = _threshold_result(roots.value[k], roots.sign[k]).sentinel.value
+                message = (
+                    f"threshold sentinel mismatch {where} "
+                    f"analytic={float(analytic[k])} oracle={oracle}"
+                )
+            else:
+                message = (
+                    f"threshold mismatch {where} "
+                    f"analytic={float(analytic[k])} oracle={float(roots.value[k])}"
+                )
+            failures.append((k, rank, message))
+    return failures
 
 
 def validate(
@@ -435,12 +547,22 @@ def validate(
 ) -> ValidationReport:
     """Run the full oracle suite over a seeded draw batch.
 
-    Best responses are compared on every draw; threshold searches (the
-    expensive part) on every `thresholds_every`-th draw.
+    Best responses are compared on every draw; thresholds on every
+    `thresholds_every`-th draw. Failures are listed in draw order, each
+    draw's best responses before its thresholds.
     """
     report = ValidationReport(seed=seed, draws=draws)
-    for i, draw in enumerate(iter_draws(seed, draws)):
-        _check_best_responses(draw, mode, report)
-        if i % thresholds_every == 0:
-            _check_thresholds(draw, mode, report, threshold_atol)
+    found = []  # (draw, check rank, message)
+    for start, policy, te in _blocks(seed, draws):
+        block = _parameter_draws(policy, te, seed, start)
+        # The formula of the `scale` property, on the view's arrays.
+        scale = TransactionEndowments.scale.fget(te)
+        failures = _check_best_responses(policy, te, scale, block, mode)
+        report.best_response_checks += _BEST_RESPONSE_CASES * len(block)
+        rows = range(-start % thresholds_every, len(block), thresholds_every)
+        failures += _check_thresholds(
+            policy, te, scale, block, rows, mode, threshold_atol, report
+        )
+        found += [(start + int(k), rank, message) for k, rank, message in failures]
+    report.failures = [message for _, _, message in sorted(found)]
     return report

@@ -276,6 +276,13 @@ class TestValidateCommand:
         code, _, err = run(capsys, ["validate", "--draws", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["corrected", "paper-literal"])
+    def test_both_modes_pass(self, capsys, mode):
+        code, out, _ = run(capsys, ["validate", "--draws", "500", "--mode", mode])
+        assert code == 0
+        assert "best-response checks: 9000" in out
+        assert "failures: 0" in out
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -290,11 +297,19 @@ class TestUsage:
             ["appendix", "--tolerance", "-1"],
             ["validate", "--seed", "-1", "--draws", "1"],
             ["region", "--preset", "section6", "--set", "x_o=0"],
+            # validate draws its own parameters and prints a fixed report
+            ["validate", "--draws", "2", "--preset", "section6"],
+            ["validate", "--draws", "2", "--config", "params.json"],
+            ["validate", "--draws", "2", "--set", "v=0.5"],
+            ["validate", "--draws", "2", "--format", "json"],
+            ["validate", "--draws", "2", "--precision", "3"],
+            ["validate", "--draws", "2", "--out", "validate.json"],
         ],
         ids=[
             "gamma-2", "thresholds-every-0", "x_o-0", "precision-minus-1",
             "config-is-directory", "tolerance-nan", "tolerance-minus-1", "seed-minus-1",
-            "region-x_o-0",
+            "region-x_o-0", "validate-preset", "validate-config", "validate-set",
+            "validate-format", "validate-precision", "validate-out",
         ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):

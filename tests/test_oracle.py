@@ -1,12 +1,12 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from vat_game import dominance, oracle
-from vat_game.dominance import Agent, Sentinel
+from vat_game import coalition, dominance, oracle
+from vat_game.dominance import TIE_RTOL, Agent, Sentinel
 from vat_game.model import (
+    CANONICAL_EVENTS,
     AuditRegime,
     Event,
     SanctionBaseMode,
@@ -22,6 +22,45 @@ def fixed_draw(policy, te, tag="fixed"):
     return oracle.ParameterDraw(policy, te, tag)
 
 
+def scalar_draws(seed, count):
+    """The draw law as one rng.uniform call per parameter, in draw order.
+
+    Yields (policy fields, te fields) per draw; `oracle.iter_draws` must
+    reproduce it bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x_o = float(10.0 ** rng.uniform(1.0, 5.0))
+        policy = tuple(float(rng.uniform(0.0, 0.6)) for _ in range(3)) + tuple(
+            float(rng.uniform(0.0, 1.0)) for _ in range(4)
+        )  # t_s, t_b, v, then delta, theta, s_v, s_ys
+        te = (
+            x_o,
+            float(rng.uniform(0.0, x_o)),
+            float(10.0 ** rng.uniform(3.0, 6.0)),
+            float(10.0 ** rng.uniform(3.0, 6.0)),
+        )
+        yield policy, te
+
+
+def rule_best_response(agent, scenario, regime, draw, mode):
+    """The closed-form rule of `validate` on one draw."""
+    gains = oracle._rule_gains(agent, scenario, regime.gamma, draw.policy, draw.te, mode)
+    tied = coalition.tied_for_best(np.broadcast_arrays(*gains), draw.te.scale)
+    return tuple(e for e, t in zip(CANONICAL_EVENTS, tied) if t)
+
+
+def shift_buyer_gamma_threshold(monkeypatch, shift):
+    """Move every value of `dominance.buyer_gamma_threshold` by `shift`."""
+    closed_form = dominance.buyer_gamma_threshold
+
+    def shifted(policy, te=None, mode=CORRECTED):
+        result = closed_form(policy, te, mode)
+        return dominance.ThresholdResult.of(result.value + shift)
+
+    monkeypatch.setattr(dominance, "buyer_gamma_threshold", shifted)
+
+
 class TestDraws:
     def test_deterministic_sequence(self):
         first = list(oracle.iter_draws(seed=7, count=25))
@@ -35,19 +74,68 @@ class TestDraws:
             assert 0.0 <= draw.te.x_i <= draw.te.x_o
             assert 10.0 <= draw.te.x_o <= 1e5
 
+    def test_array_draws_equal_scalar_draws(self):
+        # 10 000 draws span three blocks of BLOCK_DRAWS
+        hexes = lambda values: [float(x).hex() for x in values]
+        draws = oracle.iter_draws(seed=42, count=10_000)
+        for i, (draw, (policy, te)) in enumerate(zip(draws, scalar_draws(42, 10_000))):
+            assert draw.tag == f"seed42/{i}"
+            assert hexes(dataclasses.astuple(draw.policy)) == hexes(policy), i
+            assert hexes(dataclasses.astuple(draw.te)) == hexes(te), i
+        assert i == 9_999
+
 
 class TestBestResponse:
     def test_matches_dominance_layer_on_batch(self):
+        # the closed-form rule of validate against the engine's enumeration
         regimes = (AuditRegime(0.0), AuditRegime(0.37), AuditRegime(1.0))
-        for draw in oracle.iter_draws(seed=3, count=100):
+        for mode in SanctionBaseMode:
+            for draw in oracle.iter_draws(seed=3, count=100):
+                for scenario in Scenario:
+                    for regime in regimes:
+                        for agent in Agent:
+                            assert rule_best_response(
+                                agent, scenario, regime, draw, mode
+                            ) == dominance.dominant_events(
+                                agent, scenario, regime, draw.policy, draw.te, mode
+                            ), (draw.tag, mode, agent, scenario, regime)
+
+    def test_oracle_best_response_matches_dominance_layer(self):
+        for draw in oracle.iter_draws(seed=4, count=20):
             for scenario in Scenario:
-                for regime in regimes:
-                    for agent in Agent:
-                        assert oracle.oracle_best_response(
-                            agent, scenario, regime, draw
-                        ) == dominance.dominant_events(
-                            agent, scenario, regime, draw.policy, draw.te
-                        )
+                for agent in Agent:
+                    regime = AuditRegime(0.37)
+                    assert oracle.oracle_best_response(
+                        agent, scenario, regime, draw
+                    ) == dominance.dominant_events(
+                        agent, scenario, regime, draw.policy, draw.te
+                    )
+
+    @pytest.mark.parametrize("bands, mismatches", [(0.5, 0), (2.0, 3 * 20)])
+    def test_perturbed_seller_gain_is_reported(self, monkeypatch, bands, mismatches):
+        # Without taxes every event ties. Lowering the seller's lt1 gain by
+        # more than the tie band takes it out of the rule's tie set at all
+        # three audit rates of every draw, and by less leaves it in.
+        rule_gains = oracle._rule_gains
+
+        def perturbed(agent, scenario, gamma, policy, te, mode):
+            gains = list(rule_gains(agent, scenario, gamma, policy, te, mode))
+            if agent is Agent.SELLER and scenario is Scenario.NO_TAXES:
+                scale = TransactionEndowments.scale.fget(te)
+                gains[1] = gains[1] - bands * TIE_RTOL * scale
+            return gains
+
+        monkeypatch.setattr(oracle, "_rule_gains", perturbed)
+        report = oracle.validate(seed=5, draws=20, thresholds_every=20)
+        assert report.best_response_checks == 20 * 18
+        assert len(report.failures) == mismatches
+        for message in report.failures:
+            assert message.startswith("best-response mismatch [seed5/")
+            assert " seller no-taxes gamma=" in message
+            assert message.endswith(
+                "analytic=['comply', 'evade-lt2', 'evade-wt'] "
+                "oracle=['comply', 'evade-lt1', 'evade-lt2', 'evade-wt']"
+            )
 
     def test_certain_audit_forces_compliance(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.3, s_ys=0.3)
@@ -57,6 +145,15 @@ class TestBestResponse:
             assert oracle.oracle_best_response(
                 agent, Scenario.TAX, AuditRegime(1.0), draw
             ) == (Event.COMPLY,)
+
+
+WT_COMPARISON = oracle.Comparison(
+    Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
+)
+FIXED_DRAW = fixed_draw(
+    TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.33),
+    TransactionEndowments(x_o=100.0, x_i=50.0, y_s=200.0, y_b=400.0),
+)
 
 
 class TestThresholdBisection:
@@ -106,58 +203,56 @@ class TestThresholdBisection:
         result = oracle.oracle_threshold("gamma", comparison, fixed_draw(policy, te))
         assert result.sentinel is Sentinel.ALWAYS_SATISFIED
 
-    def test_non_single_crossing_fails_loudly(self):
-        with pytest.raises(oracle.NonMonotoneError):
-            oracle.bisect_single_crossing(
-                lambda x: np.sin(4.0 * np.pi * x), 0.0, 1.0
-            )
+    def test_non_single_crossing_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "_margin_fn", lambda *args: lambda x: (x - 0.2) * (x - 0.7)
+        )
+        with pytest.raises(oracle.NonMonotoneError, match="not affine"):
+            oracle.oracle_threshold("gamma", WT_COMPARISON, FIXED_DRAW)
 
     @pytest.mark.parametrize(
-        "margin, root",
+        "margin",
         [
-            (lambda x: np.exp(x) - 2.0, math.log(2.0)),
-            (lambda x: x**3 - 0.3, 0.3 ** (1.0 / 3.0)),
-            (lambda x: 0.3 - x**3, 0.3 ** (1.0 / 3.0)),
+            lambda x: np.exp(x) - 2.0,
+            lambda x: x**3 - 0.3,
+            lambda x: 0.3 - x**3,
         ],
         ids=["exp", "cube", "falling-cube"],
     )
-    def test_non_affine_margin_root(self, margin, root):
-        scalar_calls = []
+    def test_non_affine_margin_is_refused(self, monkeypatch, margin):
+        monkeypatch.setattr(oracle, "_margin_fn", lambda *args: margin)
+        with pytest.raises(oracle.NonMonotoneError, match="off the secant"):
+            oracle.oracle_threshold("gamma", WT_COMPARISON, FIXED_DRAW)
 
-        def counted(x):
-            if np.ndim(x) == 0:
-                scalar_calls.append(x)
-            return margin(x)
-
-        result = oracle.bisect_single_crossing(counted, 0.0, 1.0)
-        assert abs(result.value - root) <= oracle.BISECT_TOL
-        # at most about twice the steps of bisection on one sample interval
-        width = 1.0 / (oracle.MONOTONE_SAMPLES - 1)
-        assert len(scalar_calls) <= 2 * math.ceil(math.log2(width / oracle.BISECT_TOL)) + 1
-
-    def test_root_between_adjacent_floats(self):
-        # Near 1.2e6 adjacent floats are 2.3e-10 apart, more than BISECT_TOL,
-        # and the margin is zero at neither.
-        calls = []
-
-        def margin(x):
-            calls.append(x)
-            assert len(calls) < 200, "the search does not terminate"
-            return (x - 1234567.3) + 1e-11
-
-        result = oracle.bisect_single_crossing(margin, 1e6, 2e6)
+    def test_root_between_adjacent_floats(self, monkeypatch):
+        # Near 1.2e6 adjacent floats are 2.3e-10 apart, and the margin is
+        # zero at neither.
+        monkeypatch.setattr(
+            oracle, "_margin_fn", lambda *args: lambda x: (x - 1234567.3) + 1e-11
+        )
+        result = oracle.oracle_threshold("x_o", WT_COMPARISON, FIXED_DRAW, lo=1e6, hi=2e6)
         assert abs(result.value - 1234567.3) <= 1e-9
 
-    def test_first_zero_sample_is_the_threshold(self):
-        # zero at lo, then a sign change further on: the zero wins
-        result = oracle.bisect_single_crossing(lambda x: (x - 0.2) * (0.7 - x), 0.2, 1.0)
-        assert result.value == 0.2
+    @pytest.mark.parametrize(
+        "margin, sentinel",
+        [
+            (lambda x: x - 0.2, Sentinel.ALWAYS_SATISFIED),
+            (lambda x: 1.0 - x, Sentinel.ALWAYS_SATISFIED),
+            (lambda x: 0.2 - x, Sentinel.NEVER_SATISFIED),
+        ],
+        ids=["zero-at-lo", "zero-at-hi", "falling-from-zero"],
+    )
+    def test_zero_at_one_end_reports_the_sign_elsewhere(self, monkeypatch, margin, sentinel):
+        monkeypatch.setattr(oracle, "_margin_fn", lambda *args: margin)
+        result = oracle.oracle_threshold("theta", WT_COMPARISON, FIXED_DRAW, lo=0.2, hi=1.0)
+        assert result.sentinel is sentinel
 
     @pytest.mark.parametrize(
         "margin", [lambda x: 0.0 * x, lambda x: 0.0], ids=["array", "scalar"]
     )
-    def test_identically_zero_margin_is_a_tie_at_lo(self, margin):
-        result = oracle.bisect_single_crossing(margin, 0.2, 1.0)
+    def test_identically_zero_margin_is_a_tie_at_lo(self, monkeypatch, margin):
+        monkeypatch.setattr(oracle, "_margin_fn", lambda *args: margin)
+        result = oracle.oracle_threshold("theta", WT_COMPARISON, FIXED_DRAW, lo=0.2, hi=1.0)
         assert result.sentinel is Sentinel.VALUE and result.value == 0.2
 
 
@@ -165,14 +260,15 @@ class TestMargin:
     @pytest.mark.parametrize("mode", list(SanctionBaseMode))
     def test_array_margin_equals_float_margin(self, mode):
         for draw in oracle.iter_draws(seed=5, count=30):
-            for name, param, make_cmp, _, (lo, hi), _ in oracle._THRESHOLD_CASES:
-                comparison = make_cmp(draw)
-                margin = oracle._margin_fn(param, comparison, draw, mode, lo, hi)
-                xs = np.linspace(lo, hi, oracle.MONOTONE_SAMPLES)
+            for case in oracle._THRESHOLD_CASES:
+                comparison = case.comparison
+                margin = oracle._margin_fn(case.varied, comparison, draw.policy, draw.te, mode)
+                xs = np.linspace(case.lo, case.hi, 33)
                 want = [margin(float(x)) for x in xs]
-                assert np.broadcast_to(margin(xs), xs.shape).tolist() == want, name
+                assert np.broadcast_to(margin(xs), xs.shape).tolist() == want, case.name
                 # the float margin is the comparison's own margin
                 x = float(xs[7])
+                param = case.varied
                 if param == "gamma":
                     regime, policy, te = AuditRegime(x), draw.policy, draw.te
                 elif hasattr(draw.policy, param):
@@ -185,7 +281,19 @@ class TestMargin:
                 assert want[7] == dominance.compare(
                     comparison.agent, comparison.first, comparison.second,
                     comparison.scenario, regime, policy, te, mode,
-                ).margin, name
+                ).margin, case.name
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_block_margin_equals_per_draw_margin(self, mode):
+        # a column of parameter values against a row of draws, bit for bit
+        (start, policy, te), = oracle._blocks(seed=6, count=25)
+        draws = list(oracle.iter_draws(seed=6, count=25))
+        xs = np.array([[0.0], [0.25], [0.999]])
+        for case in oracle._THRESHOLD_CASES:
+            block = oracle._margin_fn(case.varied, case.comparison, policy, te, mode)(xs)
+            for k, draw in enumerate(draws):
+                one = oracle._margin_fn(case.varied, case.comparison, draw.policy, draw.te, mode)
+                assert block[:, k].tolist() == [one(float(x)) for x in xs[:, 0]], case.name
 
     def test_range_validated_at_its_ends(self):
         draw = next(oracle.iter_draws(seed=1, count=1))
@@ -217,3 +325,71 @@ class TestValidate:
         a = oracle.validate(seed=9, draws=50, thresholds_every=5)
         b = oracle.validate(seed=9, draws=50, thresholds_every=5)
         assert a.summary_lines() == b.summary_lines()
+
+    def test_closed_form_off_by_1e_5_is_reported(self, monkeypatch):
+        in_range = [
+            draw.tag
+            for draw in oracle.iter_draws(seed=8, count=60)
+            if dominance.buyer_gamma_threshold(draw.policy, draw.te).value + 1e-5 <= 1.0
+        ]
+        assert in_range
+        shift_buyer_gamma_threshold(monkeypatch, 1e-5)
+        report = oracle.validate(seed=8, draws=60)
+        assert report.failures == [
+            message
+            for message in report.failures
+            if message.startswith("threshold mismatch [")
+            and " buyer_gamma_threshold: analytic=" in message
+        ]
+        assert [m.split("[")[1].split("]")[0] for m in report.failures] == in_range
+        assert report.max_threshold_deviation == pytest.approx(1e-5, rel=1e-3)
+
+    def test_closed_form_inside_a_range_without_root_is_reported(self, monkeypatch):
+        # t_s* = v*x_i/(x_o - x_i) lies above the range [0, 0.999] on some
+        # draws; there the margin keeps one sign and the oracle finds none.
+        outside = {
+            draw.tag
+            for draw in oracle.iter_draws(seed=12, count=40)
+            if dominance.seller_tax_threshold(draw.policy, draw.te).value > 0.999
+        }
+        monkeypatch.setattr(
+            dominance,
+            "seller_tax_threshold",
+            lambda policy, te: dominance.ThresholdResult.of(0.5),
+        )
+        report = oracle.validate(seed=12, draws=40)
+        sentinels = {
+            m.split("[")[1].split("]")[0]
+            for m in report.failures
+            if m.startswith("threshold sentinel mismatch [")
+        }
+        assert outside and sentinels == outside
+        assert all(" seller_tax_threshold: analytic=0.5 " in m for m in report.failures)
+
+    def test_non_affine_margin_is_reported(self, monkeypatch):
+        margin_fn = oracle._margin_fn
+
+        def curved(*args):
+            margin = margin_fn(*args)
+            return lambda x: margin(x) + x**2
+
+        monkeypatch.setattr(oracle, "_margin_fn", curved)
+        report = oracle.validate(seed=13, draws=10)
+        assert report.threshold_checks == 0
+        assert report.failures
+        assert all(m.startswith("non-affine margin [seed13/") for m in report.failures)
+
+    def test_block_size_does_not_change_the_report(self, monkeypatch):
+        # the shifted closed form gives failures, whose order must hold too
+        shift_buyer_gamma_threshold(monkeypatch, 1e-5)
+        reports = []
+        for block in (oracle.BLOCK_DRAWS, 7):
+            monkeypatch.setattr(oracle, "BLOCK_DRAWS", block)
+            reports.append(
+                [
+                    oracle.validate(seed=10, draws=50, mode=mode, thresholds_every=3)
+                    for mode in SanctionBaseMode
+                ]
+            )
+        assert reports[0][0].failures
+        assert reports[1] == reports[0]
