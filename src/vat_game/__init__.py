@@ -2,8 +2,6 @@
 
 from .model import (
     CANONICAL_EVENTS,
-    CERTAIN_AUDIT,
-    NO_AUDIT,
     AuditRegime,
     Event,
     GovernmentRevenue,
@@ -23,8 +21,6 @@ from .model import (
 
 __all__ = [
     "CANONICAL_EVENTS",
-    "CERTAIN_AUDIT",
-    "NO_AUDIT",
     "AuditRegime",
     "Event",
     "GovernmentRevenue",

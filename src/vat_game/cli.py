@@ -105,6 +105,8 @@ def cmd_payoffs(args: argparse.Namespace) -> int:
     policy, te = build_parameters(args.preset, args.config, args.set)
     mode = _MODES[args.mode]
     scenario = _SCENARIOS[args.scenario]
+    if args.gamma is not None and args.regime != "bayesian":
+        raise ConfigError(f"--gamma applies only to --regime bayesian, not {args.regime}")
     gamma = {"no-audit": 0.0, "certain-audit": 1.0, "bayesian": args.gamma}[args.regime]
     if gamma is None:
         raise ConfigError("--gamma is required with --regime bayesian")
@@ -305,12 +307,12 @@ def cmd_region(args: argparse.Namespace) -> int:
             for v in coalition.FRONTIER_VARIANTS
         )
     ]
-    companion = _companion_path(args.out, args.format)
+    companion = _companion_path(args.out)
     _emit(frontier_rows, args.format, args.precision, companion)
     return EXIT_OK
 
 
-def _companion_path(out: str | None, fmt: str) -> str | None:
+def _companion_path(out: str | None) -> str | None:
     if out is None:
         return None
     path = Path(out)

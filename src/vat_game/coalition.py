@@ -19,7 +19,8 @@ Two frontier notions coexist:
 The coalition's best joint strategy is found per point by
 ``coalition_best_event`` and over a whole (theta, gamma) raster by
 ``coalition_best_events_grid``, which evaluates the engine once per joint
-strategy on broadcast arrays. Both apply the same tie rule.
+strategy on broadcast arrays. Both apply the tie rule of ``dominance``
+(``tie_band`` and ``tied_for_best``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dominance import TIE_RTOL, ThresholdResult
+from .dominance import ThresholdResult, tie_band, tied_for_best
 from .model import (
     AuditRegime,
     Event,
@@ -184,18 +185,6 @@ def gamma_for_compliance_without_deductions(
     return ThresholdResult.of(-line.intercept / line.slope)
 
 
-def tied_for_best(payoffs, scale) -> np.ndarray:
-    """Which strategies tie for the best payoff: the argmax with ties.
-
-    `payoffs` runs over the competing strategies along its first axis. A
-    strategy ties when its payoff comes within TIE_RTOL * scale of the best;
-    `scale` is the transaction scale, `te.scale`, and may be an array that
-    broadcasts against one strategy's payoffs.
-    """
-    payoffs = np.asarray(payoffs)
-    return payoffs >= payoffs.max(axis=0) - TIE_RTOL * scale
-
-
 def coalition_best_event(
     gamma: float,
     policy: TaxPolicy,
@@ -206,7 +195,7 @@ def coalition_best_event(
     payoffs = [
         coalition_payoff(event, gamma, policy, te, mode) for event in COALITION_EVENTS
     ]
-    tied = tied_for_best(payoffs, te.scale)
+    tied = tied_for_best(payoffs, tie_band(te))
     return tuple(e for e, t in zip(COALITION_EVENTS, tied) if t)
 
 
@@ -257,4 +246,4 @@ def coalition_best_events_grid(
     order.
     """
     payoffs = coalition_payoff_grid(thetas, gammas, policy, te, mode)
-    return tied_for_best(payoffs, te.scale).argmax(axis=0)
+    return tied_for_best(payoffs, tie_band(te)).argmax(axis=0)

@@ -7,10 +7,9 @@ unknown keys are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .model import SanctionBaseMode, TaxPolicy, TransactionEndowments
+from .model import TaxPolicy, TransactionEndowments
 
 POLICY_KEYS = ("t_s", "t_b", "v", "delta", "theta", "s_v", "s_ys")
 ENDOWMENT_KEYS = ("x_o", "x_i", "y_s", "y_b")
@@ -52,15 +51,6 @@ PRESETS: dict[str, dict[str, float]] = {
         "y_b": 400.0,
     },
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    policy: TaxPolicy
-    te: TransactionEndowments
-    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED
-    output_format: str = "csv"  # csv | json
-    precision: int = 6
 
 
 def parse_config_file(path: str | Path) -> dict[str, float]:

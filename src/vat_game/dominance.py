@@ -3,12 +3,18 @@
 Every threshold here is an explicit formula; the oracle module re-derives
 each one as the root of a payoff margin of the engine, and the two must
 agree.
+
+The package's one tie rule lives here too: two payoffs tie when they lie
+within `tie_band` of each other, and `tied_for_best` is the argmax with
+ties that every best response uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .model import (
     CANONICAL_EVENTS,
@@ -24,6 +30,28 @@ from .model import (
 
 #: Relative tolerance used to classify payoff ties.
 TIE_RTOL = 1e-9
+
+
+def tie_band(te):
+    """The largest payoff gap that still counts as a tie.
+
+    TIE_RTOL times the transaction scale y_b + y_s + x_o + x_i + 1. `te` is a
+    TransactionEndowments or a view whose fields are arrays; the band is then
+    an array too.
+    """
+    return TIE_RTOL * (te.y_b + te.y_s + te.x_o + te.x_i + 1.0)
+
+
+def tied_for_best(payoffs, band) -> np.ndarray:
+    """Which strategies tie for the best payoff: the argmax with ties.
+
+    `payoffs` runs over the competing strategies along its first axis. A
+    strategy ties when its payoff comes within `band`, the `tie_band`, of
+    the best; `band` may be an array that broadcasts against one strategy's
+    payoffs.
+    """
+    payoffs = np.asarray(payoffs)
+    return payoffs >= payoffs.max(axis=0) - band
 
 
 class Agent(Enum):
@@ -98,8 +126,7 @@ def compare(
     margin = agent_payoff(
         agent, expected_payoff(scenario, regime, first, policy, te, mode)
     ) - agent_payoff(agent, expected_payoff(scenario, regime, second, policy, te, mode))
-    tol = TIE_RTOL * te.scale
-    if abs(margin) <= tol:
+    if abs(margin) <= tie_band(te):
         relation = Relation.INDIFFERENT
     elif margin > 0:
         relation = Relation.FIRST_STRICT
@@ -228,15 +255,12 @@ def dominant_events(
     """Events maximizing the agent's expected payoff, by direct enumeration.
 
     Only the four canonical events compete; the appendix reproduction
-    variant is excluded. Ties (within the tie tolerance) are all returned,
-    in canonical order.
+    variant is excluded. Ties (within the tie band) are all returned, in
+    canonical order.
     """
-    payoffs = {
-        event: agent_payoff(
-            agent, expected_payoff(scenario, regime, event, policy, te, mode)
-        )
+    payoffs = [
+        agent_payoff(agent, expected_payoff(scenario, regime, event, policy, te, mode))
         for event in CANONICAL_EVENTS
-    }
-    best = max(payoffs.values())
-    tol = TIE_RTOL * te.scale
-    return tuple(e for e in CANONICAL_EVENTS if payoffs[e] >= best - tol)
+    ]
+    tied = tied_for_best(payoffs, tie_band(te))
+    return tuple(e for e, t in zip(CANONICAL_EVENTS, tied) if t)

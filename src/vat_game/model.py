@@ -127,11 +127,6 @@ class TransactionEndowments:
             if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    @property
-    def scale(self) -> float:
-        """Magnitude used to scale relative tolerances."""
-        return self.y_b + self.y_s + self.x_o + self.x_i + 1.0
-
 
 @dataclass(frozen=True)
 class AuditRegime:
@@ -147,22 +142,6 @@ class AuditRegime:
         _require_finite("gamma", self.gamma)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-
-    @classmethod
-    def no_audit(cls) -> "AuditRegime":
-        return cls(0.0)
-
-    @classmethod
-    def certain_audit(cls) -> "AuditRegime":
-        return cls(1.0)
-
-    @classmethod
-    def bayesian(cls, gamma: float) -> "AuditRegime":
-        return cls(gamma)
-
-
-NO_AUDIT = AuditRegime.no_audit()
-CERTAIN_AUDIT = AuditRegime.certain_audit()
 
 
 class PayoffVector(NamedTuple):

@@ -8,7 +8,7 @@ for any batch size.
 Best responses. For each scenario and event, `expected_payoff` runs once,
 with the audit rate gamma in {0, 0.37, 1} as a column and the draws as a
 row. The events within the tie band of an agent's best payoff
-(`coalition.tied_for_best`) are the engine's best responses. A rule built
+(`dominance.tied_for_best`) are the engine's best responses. A rule built
 from the closed forms must name the same tie set. It prices each evasion by
 its expected gain over complying, which gains 0, under the same tie band:
 
@@ -29,8 +29,8 @@ parameter: each payoff is linear in each rate, and the audit mixture is
 linear in gamma. One array call evaluates the margin at both ends of the
 range and at its midpoint, for every draw. The root is the zero of the
 secant through the two ends, where the margin changes sign. A midpoint off
-that line by more than TIE_RTOL * scale shows a margin that is not affine,
-and is reported. The closed form of `dominance` must match the root within
+that line by more than the tie band shows a margin that is not affine, and
+is reported. The closed form of `dominance` must match the root within
 the tolerance. `oracle_threshold` is the same search on one draw.
 """
 
@@ -43,8 +43,16 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import coalition, dominance
-from .dominance import TIE_RTOL, Agent, Sentinel, ThresholdResult, agent_payoff
+from . import dominance
+from .dominance import (
+    Agent,
+    Sentinel,
+    ThresholdResult,
+    agent_payoff,
+    dominant_events,
+    tie_band,
+    tied_for_best,
+)
 from .model import (
     CANONICAL_EVENTS,
     AuditRegime,
@@ -150,16 +158,11 @@ def oracle_best_response(
     draw: ParameterDraw,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> tuple[Event, ...]:
-    """Exhaustive argmax over the canonical events, via expected_payoff only.
+    """`dominance.dominant_events` on one draw.
 
     `validate` takes the same argmax on arrays of draws.
     """
-    payoffs = [
-        agent_payoff(agent, expected_payoff(scenario, regime, e, draw.policy, draw.te, mode))
-        for e in CANONICAL_EVENTS
-    ]
-    tied = coalition.tied_for_best(payoffs, draw.te.scale)
-    return tuple(e for e, t in zip(CANONICAL_EVENTS, tied) if t)
+    return dominant_events(agent, scenario, regime, draw.policy, draw.te, mode)
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ def oracle_threshold(
     The varied parameter is validated once, at `lo` and `hi`, by its
     dataclass; every admissible range is an interval, so every point between
     them is admissible too. The margin must be affine over the range: a
-    midpoint off the secant by more than TIE_RTOL * scale raises
+    midpoint off the secant by more than the tie band raises
     NonMonotoneError. With no sign change, the constant sign is reported as
     an always/never sentinel on the first-preferred condition.
     """
@@ -285,7 +288,7 @@ def oracle_threshold(
         dataclasses.replace(inputs[owner], **{varied_parameter: x})
     margin = _margin_fn(varied_parameter, comparison, draw.policy, draw.te, mode)
     (value,), (sign,), (defect,) = _affine_roots(margin, lo, hi)
-    if defect > TIE_RTOL * draw.te.scale:
+    if defect > tie_band(draw.te):
         raise NonMonotoneError(
             f"margin in {varied_parameter!r} for {comparison} is not affine on "
             f"[{lo}, {hi}]: the midpoint is {defect:.3e} off the secant"
@@ -445,7 +448,7 @@ def _events(tied) -> list[str]:
     return [e.value for e, t in zip(CANONICAL_EVENTS, tied) if t]
 
 
-def _check_best_responses(policy, te, scale, draws, mode) -> list[tuple[int, int, str]]:
+def _check_best_responses(policy, te, band, draws, mode) -> list[tuple[int, int, str]]:
     """The engine's argmax against the closed-form rule, 18 cases per draw.
 
     Returns (draw in the block, check rank, message) per mismatch.
@@ -459,12 +462,12 @@ def _check_best_responses(policy, te, scale, draws, mode) -> list[tuple[int, int
             for event in CANONICAL_EVENTS
         ]
         for a, agent in enumerate(Agent):
-            engine = coalition.tied_for_best(
-                np.broadcast_arrays(*(agent_payoff(agent, pv) for pv in payoffs)), scale
+            engine = tied_for_best(
+                np.broadcast_arrays(*(agent_payoff(agent, pv) for pv in payoffs)), band
             )
-            rule = coalition.tied_for_best(
+            rule = tied_for_best(
                 np.broadcast_arrays(*_rule_gains(agent, scenario, gammas, policy, te, mode)),
-                scale,
+                band,
             )
             for g, k in zip(*np.nonzero((engine != rule).any(axis=0))):
                 failures.append(
@@ -480,7 +483,7 @@ def _check_best_responses(policy, te, scale, draws, mode) -> list[tuple[int, int
 
 
 def _check_thresholds(
-    policy, te, scale, draws, rows, mode, atol, report
+    policy, te, band, draws, rows, mode, atol, report
 ) -> list[tuple[int, int, str]]:
     """Each closed form against the affine root of its margin, on `rows`.
 
@@ -502,7 +505,7 @@ def _check_thresholds(
         roots = _affine_roots(
             _margin_fn(case.varied, case.comparison, policy, te, mode), lo, hi
         )
-        affine = roots.defect <= TIE_RTOL * scale
+        affine = roots.defect <= band
         counted = checked & affine
         report.threshold_checks += int(np.count_nonzero(counted))
         at_root = counted & (roots.sign == 0.0)
@@ -555,13 +558,12 @@ def validate(
     found = []  # (draw, check rank, message)
     for start, policy, te in _blocks(seed, draws):
         block = _parameter_draws(policy, te, seed, start)
-        # The formula of the `scale` property, on the view's arrays.
-        scale = TransactionEndowments.scale.fget(te)
-        failures = _check_best_responses(policy, te, scale, block, mode)
+        band = tie_band(te)
+        failures = _check_best_responses(policy, te, band, block, mode)
         report.best_response_checks += _BEST_RESPONSE_CASES * len(block)
         rows = range(-start % thresholds_every, len(block), thresholds_every)
         failures += _check_thresholds(
-            policy, te, scale, block, rows, mode, threshold_atol, report
+            policy, te, band, block, rows, mode, threshold_atol, report
         )
         found += [(start + int(k), rank, message) for k, rank, message in failures]
     report.failures = [message for _, _, message in sorted(found)]

@@ -1,24 +1,10 @@
 import pytest
 
-from vat_game.config import PRESETS
-from vat_game.model import TaxPolicy, TransactionEndowments
+from vat_game.config import build_parameters
 
 
 def params_from_preset(name):
-    values = PRESETS[name]
-    policy = TaxPolicy(
-        t_s=values["t_s"],
-        t_b=values["t_b"],
-        v=values["v"],
-        delta=values["delta"],
-        theta=values["theta"],
-        s_v=values["s_v"],
-        s_ys=values["s_ys"],
-    )
-    te = TransactionEndowments(
-        x_o=values["x_o"], x_i=values["x_i"], y_s=values["y_s"], y_b=values["y_b"]
-    )
-    return policy, te
+    return build_parameters(name, None, None)
 
 
 @pytest.fixture

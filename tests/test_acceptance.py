@@ -20,7 +20,7 @@ from vat_game.coalition import (
     theta_frontier,
 )
 from vat_game.config import build_parameters
-from vat_game.dominance import buyer_gamma_threshold, buyer_theta_threshold
+from vat_game.dominance import buyer_gamma_threshold, buyer_theta_threshold, tie_band
 from vat_game.model import (
     CANONICAL_EVENTS,
     AuditRegime,
@@ -115,25 +115,25 @@ def test_criterion_4_conservation():
 
     worst_cell = 0.0
     for draw in draws:
-        tol_scale = draw.te.scale
+        band = tie_band(draw.te)
         for scenario in Scenario:
             for audited in (False, True):
                 for event in defined_events(scenario, audited):
                     pv = payoff_event(scenario, audited, event, draw.policy, draw.te)
-                    rel = abs(conservation_residual(pv, draw.te)) / tol_scale
+                    rel = abs(conservation_residual(pv, draw.te)) / band
                     worst_cell = max(worst_cell, rel)
 
     worst_mix = 0.0
     worst_literal = 0.0
     for draw in draws[::10]:
-        tol_scale = draw.te.scale
+        band = tie_band(draw.te)
         for gamma in ELEVEN_GAMMAS:
             regime = AuditRegime(gamma)
             for event in CANONICAL_EVENTS:
                 pv = expected_payoff(
                     Scenario.TAX, regime, event, draw.policy, draw.te, CORRECTED
                 )
-                rel = abs(conservation_residual(pv, draw.te)) / tol_scale
+                rel = abs(conservation_residual(pv, draw.te)) / band
                 worst_mix = max(worst_mix, rel)
             want = (
                 gamma
@@ -145,22 +145,22 @@ def test_criterion_4_conservation():
                 pv = expected_payoff(
                     Scenario.TAX, regime, event, draw.policy, draw.te, LITERAL
                 )
-                rel = abs(conservation_residual(pv, draw.te) - want) / tol_scale
+                rel = abs(conservation_residual(pv, draw.te) - want) / band
                 worst_literal = max(worst_literal, rel)
 
     elapsed = time.perf_counter() - start
     ok = (
-        worst_cell <= 1e-9
-        and worst_mix <= 1e-9
-        and worst_literal <= 1e-9
+        worst_cell <= 1.0
+        and worst_mix <= 1.0
+        and worst_literal <= 1.0
         and elapsed < 30.0
     )
     report(
         4,
         ok,
-        f"10000 draws conserve surplus (cells {worst_cell:.2e}, mixtures "
-        f"{worst_mix:.2e}, literal-mode gap exact to {worst_literal:.2e}, "
-        f"{elapsed:.1f}s)",
+        f"10000 draws conserve surplus within the tie band (worst in bands: cells "
+        f"{worst_cell:.2e}, mixtures {worst_mix:.2e}, literal-mode gap "
+        f"{worst_literal:.2e}; {elapsed:.1f}s)",
     )
 
 

@@ -289,6 +289,9 @@ class TestUsage:
         "argv",
         [
             ["payoffs", "--preset", "appendix", "--regime", "bayesian", "--gamma", "2"],
+            # --gamma prices only the bayesian regime; elsewhere it is refused
+            ["payoffs", "--preset", "appendix", "--regime", "no-audit", "--gamma", "0.7"],
+            ["payoffs", "--preset", "appendix", "--regime", "certain-audit", "--gamma", "0.7"],
             ["validate", "--draws", "1", "--thresholds-every", "0"],
             ["thresholds", "--preset", "section6", "--set", "x_o=0", "--set", "x_i=0"],
             ["payoffs", "--preset", "appendix", "--precision", "-1"],
@@ -306,7 +309,8 @@ class TestUsage:
             ["validate", "--draws", "2", "--out", "validate.json"],
         ],
         ids=[
-            "gamma-2", "thresholds-every-0", "x_o-0", "precision-minus-1",
+            "gamma-2", "gamma-no-audit", "gamma-certain-audit", "thresholds-every-0",
+            "x_o-0", "precision-minus-1",
             "config-is-directory", "tolerance-nan", "tolerance-minus-1", "seed-minus-1",
             "region-x_o-0", "validate-preset", "validate-config", "validate-set",
             "validate-format", "validate-precision", "validate-out",

@@ -1,7 +1,15 @@
 import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from vat_game import dominance
+from vat_game.coalition import (
+    COALITION_EVENTS,
+    coalition_best_event,
+    coalition_best_events_grid,
+)
 from vat_game.dominance import (
     Agent,
     Relation,
@@ -16,6 +24,7 @@ from vat_game.dominance import (
     vat_rate_threshold,
 )
 from vat_game.model import (
+    CANONICAL_EVENTS,
     AuditRegime,
     Event,
     SanctionBaseMode,
@@ -287,3 +296,41 @@ class TestDominantEvents:
             assert dominant_events(
                 agent, Scenario.TAX, NO_AUDIT, policy, small_te()
             ) == (Event.COMPLY, Event.EVADE_LT1, Event.EVADE_LT2, Event.EVADE_WT)
+
+
+class TestTieRule:
+    def test_every_tie_decision_reads_the_one_tolerance(self, monkeypatch, section6_params):
+        # Every gap of section6's payoffs is far below its transaction scale,
+        # so a band of the whole scale turns every verdict into a tie, in the
+        # dominance layer and the coalition layer alike.
+        policy, te = section6_params
+        axis = [0.0, 0.5, 1.0]
+
+        def verdicts():
+            return (
+                compare(
+                    Agent.SELLER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX, NO_AUDIT,
+                    policy, te,
+                ).relation,
+                [dominant_events(a, Scenario.TAX, NO_AUDIT, policy, te) for a in Agent],
+                coalition_best_event(0.0, policy, te),
+                coalition_best_events_grid(axis, axis, policy, te).tolist(),
+            )
+
+        relation, dominant, best, grid = verdicts()
+        assert relation is Relation.SECOND_STRICT
+        assert all(events != CANONICAL_EVENTS for events in dominant)
+        assert best != COALITION_EVENTS
+        assert grid != [[0] * 3] * 3
+        monkeypatch.setattr(dominance, "TIE_RTOL", 1.0)
+        relation, dominant, best, grid = verdicts()
+        assert relation is Relation.INDIFFERENT
+        assert dominant == [CANONICAL_EVENTS] * len(Agent)
+        assert best == COALITION_EVENTS
+        assert grid == [[0] * 3] * 3  # every cell ties, so comply wins it
+
+    def test_band_of_a_block_view_is_the_band_of_each_draw(self):
+        tes = [small_te(x_o, x_i) for x_o, x_i in ((10.0, 0.0), (100.0, 50.0), (1e5, 3.0))]
+        fields = (f.name for f in dataclasses.fields(TransactionEndowments))
+        view = SimpleNamespace(**{f: np.array([getattr(te, f) for te in tes]) for f in fields})
+        assert dominance.tie_band(view).tolist() == [dominance.tie_band(te) for te in tes]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vat_game.dominance import tie_band
 from vat_game.model import (
     CANONICAL_EVENTS,
     AuditRegime,
@@ -138,7 +139,7 @@ class TestConservation:
     @given(policy=policies, te=endowments)
     @settings(max_examples=300)
     def test_every_cell_conserves(self, policy, te):
-        tol = 1e-9 * te.scale
+        tol = tie_band(te)
         for scenario in Scenario:
             for audited in (False, True):
                 for event in defined_events(scenario, audited):
@@ -148,7 +149,7 @@ class TestConservation:
     @given(policy=policies, te=endowments, gamma=st.floats(0.0, 1.0))
     @settings(max_examples=200)
     def test_corrected_mixture_conserves(self, policy, te, gamma):
-        tol = 1e-9 * te.scale
+        tol = tie_band(te)
         for event in CANONICAL_EVENTS:
             pv = expected_payoff(
                 Scenario.TAX, AuditRegime(gamma), event, policy, te, CORRECTED
@@ -160,7 +161,7 @@ class TestConservation:
     def test_paper_literal_violation_is_exact(self, policy, te, gamma):
         # the literal sanction base drops x_o, so the buyer-side residual is
         # exactly gamma*v*(1+s_v)*(x_o - 1)
-        tol = 1e-9 * te.scale
+        tol = tie_band(te)
         expected = gamma * policy.v * (1.0 + policy.s_v) * (te.x_o - 1.0)
         for event in (Event.EVADE_LT1, Event.EVADE_LT2, Event.EVADE_WT):
             pv = expected_payoff(

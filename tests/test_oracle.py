@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vat_game import coalition, dominance, oracle
-from vat_game.dominance import TIE_RTOL, Agent, Sentinel
+from vat_game import dominance, oracle
+from vat_game.dominance import Agent, Sentinel
 from vat_game.model import (
     CANONICAL_EVENTS,
     AuditRegime,
@@ -46,7 +46,7 @@ def scalar_draws(seed, count):
 def rule_best_response(agent, scenario, regime, draw, mode):
     """The closed-form rule of `validate` on one draw."""
     gains = oracle._rule_gains(agent, scenario, regime.gamma, draw.policy, draw.te, mode)
-    tied = coalition.tied_for_best(np.broadcast_arrays(*gains), draw.te.scale)
+    tied = dominance.tied_for_best(np.broadcast_arrays(*gains), dominance.tie_band(draw.te))
     return tuple(e for e, t in zip(CANONICAL_EVENTS, tied) if t)
 
 
@@ -100,17 +100,6 @@ class TestBestResponse:
                                 agent, scenario, regime, draw.policy, draw.te, mode
                             ), (draw.tag, mode, agent, scenario, regime)
 
-    def test_oracle_best_response_matches_dominance_layer(self):
-        for draw in oracle.iter_draws(seed=4, count=20):
-            for scenario in Scenario:
-                for agent in Agent:
-                    regime = AuditRegime(0.37)
-                    assert oracle.oracle_best_response(
-                        agent, scenario, regime, draw
-                    ) == dominance.dominant_events(
-                        agent, scenario, regime, draw.policy, draw.te
-                    )
-
     @pytest.mark.parametrize("bands, mismatches", [(0.5, 0), (2.0, 3 * 20)])
     def test_perturbed_seller_gain_is_reported(self, monkeypatch, bands, mismatches):
         # Without taxes every event ties. Lowering the seller's lt1 gain by
@@ -121,8 +110,7 @@ class TestBestResponse:
         def perturbed(agent, scenario, gamma, policy, te, mode):
             gains = list(rule_gains(agent, scenario, gamma, policy, te, mode))
             if agent is Agent.SELLER and scenario is Scenario.NO_TAXES:
-                scale = TransactionEndowments.scale.fget(te)
-                gains[1] = gains[1] - bands * TIE_RTOL * scale
+                gains[1] = gains[1] - bands * dominance.tie_band(te)
             return gains
 
         monkeypatch.setattr(oracle, "_rule_gains", perturbed)
