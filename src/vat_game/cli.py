@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import coalition, dominance, oracle, report
+from .coalition import FrontierUndefinedError
 from .config import ConfigError, build_parameters
 from .dominance import Sentinel, ThresholdResult
 from .model import (
@@ -36,6 +38,9 @@ EXIT_MISMATCH = 2
 
 #: Largest (theta, gamma) raster `region` builds, in cells.
 MAX_REGION_CELLS = 1001 * 1001
+#: Largest --precision. A double holds about 17 significant digits, so more
+#: decimals only print its binary expansion, and each one adds a byte per number.
+MAX_PRECISION = 20
 
 _SCENARIOS = {s.value: s for s in Scenario}
 _EVENTS = {e.value: e for e in Event}
@@ -86,6 +91,10 @@ def _emit(rows: list[dict[str, object]], fmt: str, precision: int, out: str | No
                     )
                 )
             text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -244,6 +253,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ region
 
 
+#: (best_event, complies) cell text per index into COALITION_EVENTS.
+_REGION_LABELS = [
+    (event.value, str(event is Event.COMPLY).lower()) for event in coalition.COALITION_EVENTS
+]
+
+
 def _axis_size(lo: float, hi: float, step: float, name: str) -> int:
     """Validate one raster axis and count its points, without building it."""
     if not all(math.isfinite(x) for x in (lo, hi, step)):
@@ -279,22 +294,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     thetas, gammas = _axis(*theta_axis), _axis(*gamma_axis)
 
     winners = coalition.coalition_best_events_grid(thetas, gammas, policy, te, mode)
-    labels = [
-        (event.value, str(event is Event.COMPLY).lower())
-        for event in coalition.COALITION_EVENTS
-    ]
-    rows = [
-        {
-            "theta": float(theta),
-            "gamma": float(gamma),
-            "best_event": labels[k][0],
-            "complies": labels[k][1],
-        }
-        for theta, row in zip(thetas, winners.tolist())  # theta outer, gamma inner
-        for gamma, k in zip(gammas, row)
-    ]
-    _emit(rows, args.format, args.precision, args.out)
-
+    # The frontier lines can fail on degenerate parameters, so they are
+    # computed before the raster is written.
     frontier_rows = [
         {
             "variant": line.variant.value.removeprefix("evade-"),
@@ -307,9 +308,43 @@ def cmd_region(args: argparse.Namespace) -> int:
             for v in coalition.FRONTIER_VARIANTS
         )
     ]
+    if args.format == "csv":
+        _write(_region_csv(thetas, gammas, winners.tolist(), args.precision), args.out)
+    else:
+        rows = [
+            {
+                "theta": theta,
+                "gamma": gamma,
+                "best_event": _REGION_LABELS[k][0],
+                "complies": _REGION_LABELS[k][1],
+            }
+            for theta, row in zip(thetas, winners.tolist())  # theta outer, gamma inner
+            for gamma, k in zip(gammas, row)
+        ]
+        _emit(rows, args.format, args.precision, args.out)
     companion = _companion_path(args.out)
     _emit(frontier_rows, args.format, args.precision, companion)
     return EXIT_OK
+
+
+def _region_csv(
+    thetas: list[float], gammas: list[float], winners: list[list[int]], precision: int
+) -> str:
+    """The raster as `_emit` would write it from one dict per cell.
+
+    Each gamma is formatted once, as a "gamma,event,complies" tail per joint
+    strategy, and each theta once per row; a row's lines are its theta text
+    joined with the tails its winners pick.
+    """
+    tails = [
+        [f"{_fmt(gamma, precision)},{event},{complies}" for event, complies in _REGION_LABELS]
+        for gamma in gammas
+    ]
+    lines = ["theta,gamma,best_event,complies\n"]
+    for theta, row in zip(thetas, winners):  # theta outer, gamma inner
+        head = f"{_fmt(theta, precision)},"
+        lines.append(head + f"\n{head}".join(map(operator.getitem, tails, row)) + "\n")
+    return "".join(lines)
 
 
 def _companion_path(out: str | None) -> str | None:
@@ -446,10 +481,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if getattr(args, "precision", 0) < 0:
-            raise ConfigError("--precision must be >= 0")
+        if not 0 <= getattr(args, "precision", 0) <= MAX_PRECISION:
+            raise ConfigError(f"--precision must be between 0 and {MAX_PRECISION}")
         return args.func(args)
-    except (ConfigError, UndefinedEventError, OSError) as exc:
+    except (ConfigError, UndefinedEventError, FrontierUndefinedError, OSError) as exc:
         print(f"vat-game: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

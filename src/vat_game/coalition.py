@@ -49,6 +49,10 @@ FRONTIER_VARIANTS = (Event.EVADE_LT1, Event.EVADE_LT2, Event.EVADE_WT)
 COALITION_EVENTS = (Event.COMPLY,) + FRONTIER_VARIANTS
 
 
+class FrontierUndefinedError(ValueError):
+    """The joint payoff margin does not move with theta, so no frontier exists."""
+
+
 @dataclass(frozen=True)
 class ThresholdLine:
     """Affine compliance bound theta(gamma) = intercept + slope * gamma."""
@@ -102,8 +106,6 @@ def theta_frontier(
     """
     if variant not in FRONTIER_VARIANTS:
         raise ValueError(f"no compliance frontier for {variant}")
-    if te.x_o * (1.0 + policy.v * policy.delta) == 0.0:
-        raise ZeroDivisionError("frontier undefined: x_o*(1 + v*delta) = 0")
 
     def margin(theta: float, gamma: float) -> float:
         p = replace(policy, theta=theta)
@@ -114,6 +116,13 @@ def theta_frontier(
     base = margin(0.0, 0.0)
     theta_coeff = margin(1.0, 0.0) - base
     gamma_coeff = margin(0.0, 1.0) - base
+    if theta_coeff == 0.0:
+        # x_o = 0, or x_o so small against the incomes that x_o*(1 + v*delta)
+        # is lost in the rounding of the payoffs.
+        raise FrontierUndefinedError(
+            f"{variant.value} frontier undefined: the joint payoff margin does not "
+            "change with theta (x_o is zero or too small against the incomes)"
+        )
     return ThresholdLine(
         variant=variant,
         intercept=-base / theta_coeff,

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from vat_game import cli
+from vat_game import cli, coalition
 from vat_game.config import (
     ConfigError,
     build_parameters,
     parse_config_file,
     parse_overrides,
 )
+from vat_game.model import SanctionBaseMode
 
 
 def run(capsys, argv):
@@ -208,6 +209,73 @@ class TestRegionCommand:
             if above_all:
                 assert row["complies"] == "true", (theta, gamma)
 
+    @pytest.mark.parametrize("mode", ["corrected", "paper-literal"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--precision", "0"],
+            [],
+            ["--precision", "12"],
+            ["--theta-min", "0.25", "--theta-max", "0.25"],
+            ["--gamma-min", "0.6", "--gamma-max", "0.6"],
+            # 0 + 3 * 0.1 overshoots 0.3 by one ulp, so the last theta is hi itself
+            ["--theta-max", "0.3", "--theta-step", "0.1", "--precision", "12"],
+        ],
+        ids=[
+            "precision-0", "precision-6", "precision-12",
+            "one-theta", "one-gamma", "theta-ends-at-max",
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_csv_matches_generic_emitter(self, capsys, tmp_path, mode, flags, to_file):
+        # The raster rendered as one dict per cell through `_emit`, which
+        # formats every value on its own, is the reference for region's CSV.
+        argv = [
+            "region", "--preset", "section6", "--mode", mode,
+            "--theta-max", "0.4", "--theta-step", "0.05", "--gamma-step", "0.25", *flags,
+        ]
+        args = cli.build_parser().parse_args(argv)
+        sanction = SanctionBaseMode(mode)
+        policy, te = build_parameters("section6", None, None)
+        thetas = cli._axis(args.theta_min, args.theta_max, args.theta_step)
+        gammas = cli._axis(args.gamma_min, args.gamma_max, args.gamma_step)
+        winners = coalition.coalition_best_events_grid(thetas, gammas, policy, te, sanction)
+        events = coalition.COALITION_EVENTS
+        rows = [
+            {
+                "theta": theta,
+                "gamma": gamma,
+                "best_event": events[k].value,
+                "complies": "true" if k == 0 else "false",
+            }
+            for theta, row in zip(thetas, winners.tolist())
+            for gamma, k in zip(gammas, row)
+        ]
+        lines = [
+            coalition.theta_frontier(v, policy, te, sanction) for v in coalition.FRONTIER_VARIANTS
+        ]
+        frontier_rows = [
+            {
+                "variant": line.variant.value.removeprefix("evade-"),
+                "intercept": line.intercept,
+                "slope": line.slope,
+                "mode": mode,
+            }
+            for line in lines
+        ]
+        ref, got = tmp_path / "ref.csv", tmp_path / "region.csv"
+        companions = [p.with_name(p.stem + ".frontiers.csv") for p in (ref, got)]
+        for table, path in ((rows, ref), (frontier_rows, companions[0])):
+            cli._emit(table, "csv", args.precision, str(path) if to_file else None)
+        expected = capsys.readouterr().out
+
+        assert cli.main(argv + (["--out", str(got)] if to_file else [])) == 0
+        assert capsys.readouterr().out == expected
+        if to_file:
+            assert expected == ""
+            assert got.read_bytes() == ref.read_bytes()
+            assert companions[1].read_bytes() == companions[0].read_bytes()
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -307,6 +375,13 @@ class TestUsage:
             ["validate", "--draws", "2", "--format", "json"],
             ["validate", "--draws", "2", "--precision", "3"],
             ["validate", "--draws", "2", "--out", "validate.json"],
+            # beyond about 17 significant digits only the output size grows
+            ["payoffs", "--preset", "appendix", "--precision", "100000000000"],
+            ["region", "--preset", "section6", "--precision", "50000000"],
+            # x_o*(1 + v*delta) lost in the rounding of payoffs near 400
+            ["thresholds", "--preset", "section6", "--set", "x_o=1e-14", "--set", "x_i=0"],
+            ["region", "--preset", "section6", "--set", "x_o=1e-14", "--set", "x_i=0"],
+            ["region", "--preset", "section6", "--set", "x_o=1e-320"],
         ],
         ids=[
             "gamma-2", "gamma-no-audit", "gamma-certain-audit", "thresholds-every-0",
@@ -314,6 +389,8 @@ class TestUsage:
             "config-is-directory", "tolerance-nan", "tolerance-minus-1", "seed-minus-1",
             "region-x_o-0", "validate-preset", "validate-config", "validate-set",
             "validate-format", "validate-precision", "validate-out",
+            "precision-1e11", "region-precision-5e7",
+            "thresholds-x_o-1e-14", "region-x_o-1e-14", "region-x_o-1e-320",
         ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):
