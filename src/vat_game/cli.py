@@ -308,43 +308,48 @@ def cmd_region(args: argparse.Namespace) -> int:
             for v in coalition.FRONTIER_VARIANTS
         )
     ]
-    if args.format == "csv":
-        _write(_region_csv(thetas, gammas, winners.tolist(), args.precision), args.out)
-    else:
-        rows = [
-            {
-                "theta": theta,
-                "gamma": gamma,
-                "best_event": _REGION_LABELS[k][0],
-                "complies": _REGION_LABELS[k][1],
-            }
-            for theta, row in zip(thetas, winners.tolist())  # theta outer, gamma inner
-            for gamma, k in zip(gammas, row)
-        ]
-        _emit(rows, args.format, args.precision, args.out)
+    _write(_region_text(thetas, gammas, winners.tolist(), args.format, args.precision), args.out)
     companion = _companion_path(args.out)
     _emit(frontier_rows, args.format, args.precision, companion)
     return EXIT_OK
 
 
-def _region_csv(
-    thetas: list[float], gammas: list[float], winners: list[list[int]], precision: int
+def _region_text(
+    thetas: list[float], gammas: list[float], winners: list[list[int]], fmt: str, precision: int
 ) -> str:
     """The raster as `_emit` would write it from one dict per cell.
 
-    Each gamma is formatted once, as a "gamma,event,complies" tail per joint
-    strategy, and each theta once per row; a row's lines are its theta text
-    joined with the tails its winners pick.
+    A cell is its theta's head joined with its gamma's tail for the joint
+    strategy that wins it. Each gamma is rendered once per strategy and each
+    theta once per row, so no cell becomes a dict or formats a number.
     """
-    tails = [
-        [f"{_fmt(gamma, precision)},{event},{complies}" for event, complies in _REGION_LABELS]
-        for gamma in gammas
+    if fmt == "csv":
+        start, sep, end = "theta,gamma,best_event,complies\n", "\n", "\n"
+        heads = [f"{_fmt(theta, precision)}," for theta in thetas]
+        tails = [
+            [f"{_fmt(gamma, precision)},{event},{complies}" for event, complies in _REGION_LABELS]
+            for gamma in gammas
+        ]
+    else:  # json.dumps(rows, indent=2) with every float rounded to precision
+        start, sep, end = "[\n", ",\n", "\n]\n"
+        heads = [f'  {{\n    "theta": {json.dumps(round(theta, precision))},' for theta in thetas]
+        tails = [
+            [
+                f'\n    "gamma": {json.dumps(round(gamma, precision))},'
+                f'\n    "best_event": {json.dumps(event)},'
+                f'\n    "complies": {json.dumps(complies)}\n  }}'
+                for event, complies in _REGION_LABELS
+            ]
+            for gamma in gammas
+        ]
+    rows = [
+        head + (sep + head).join(map(operator.getitem, tails, row))  # theta outer, gamma inner
+        for head, row in zip(heads, winners)
     ]
-    lines = ["theta,gamma,best_event,complies\n"]
-    for theta, row in zip(thetas, winners):  # theta outer, gamma inner
-        head = f"{_fmt(theta, precision)},"
-        lines.append(head + f"\n{head}".join(map(operator.getitem, tails, row)) + "\n")
-    return "".join(lines)
+    # Framing the end rows, not the joined text, saves a copy of the output.
+    rows[0] = start + rows[0]
+    rows[-1] += end
+    return sep.join(rows)
 
 
 def _companion_path(out: str | None) -> str | None:

@@ -50,7 +50,7 @@ COALITION_EVENTS = (Event.COMPLY,) + FRONTIER_VARIANTS
 
 
 class FrontierUndefinedError(ValueError):
-    """The joint payoff margin does not move with theta, so no frontier exists."""
+    """The joint payoff margin moves with theta by at most a tie: no frontier."""
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,14 @@ def theta_frontier(
     base = margin(0.0, 0.0)
     theta_coeff = margin(1.0, 0.0) - base
     gamma_coeff = margin(0.0, 1.0) - base
-    if theta_coeff == 0.0:
-        # x_o = 0, or x_o so small against the incomes that x_o*(1 + v*delta)
-        # is lost in the rounding of the payoffs.
+    if abs(theta_coeff) <= tie_band(te):
+        # x_o*(1 + v*delta) is recovered as a difference of payoffs. Within
+        # one tie band, the margin moves by at most a tie over the whole theta
+        # range, so no theta separates compliance from evasion; the line
+        # would be rounding noise.
         raise FrontierUndefinedError(
-            f"{variant.value} frontier undefined: the joint payoff margin does not "
-            "change with theta (x_o is zero or too small against the incomes)"
+            f"{variant.value} frontier undefined: the joint payoff margin moves with "
+            "theta by at most a tie (x_o is zero or too small against the incomes)"
         )
     return ThresholdLine(
         variant=variant,

@@ -9,6 +9,11 @@ payoff vector, and taxes/sanctions only reallocate surplus, so
 
 holds identically for every defined cell. Stochastic auditing is handled
 as a gamma-mixture of the unaudited and audited payoffs.
+
+Every cell is priced by one kernel, `cell_streams`: a single pass over the
+event yields the buyer, seller and government streams of the unaudited
+state and, on request, of the audited one. `payoff_event`,
+`government_revenue` and `expected_payoff` read their results from it.
 """
 
 from __future__ import annotations
@@ -47,10 +52,6 @@ class Event(Enum):
 
 #: Canonical ordering used for tie-breaking in dominance enumerations.
 CANONICAL_EVENTS = (Event.COMPLY, Event.EVADE_LT1, Event.EVADE_LT2, Event.EVADE_WT)
-
-EVASION_EVENTS = frozenset(
-    {Event.EVADE_LT1, Event.EVADE_LT2, Event.EVADE_WT, Event.EVADE_LT_APPENDIX}
-)
 
 
 class SanctionBaseMode(Enum):
@@ -164,9 +165,6 @@ class GovernmentRevenue(NamedTuple):
     income_tax_buyer: float
     vat: float
 
-    def total(self) -> float:
-        return self.income_tax_seller + self.income_tax_buyer + self.vat
-
 
 def _check_event_defined(scenario: Scenario, audited: bool, event: Event) -> None:
     if event is Event.EVADE_LT_APPENDIX and (scenario is not Scenario.TAX or audited):
@@ -174,6 +172,66 @@ def _check_event_defined(scenario: Scenario, audited: bool, event: Event) -> Non
             "the appendix last-transaction variant is only defined for the "
             "plain tax scenario without audit"
         )
+
+
+def cell_streams(
+    scenario: Scenario,
+    audited: bool,
+    event: Event,
+    policy: TaxPolicy,
+    te: TransactionEndowments,
+) -> tuple[tuple, tuple | None]:
+    """Unaudited streams of one cell and, if `audited`, the audited ones.
+
+    Each is (buyer, seller, income tax of seller, income tax of buyer, VAT),
+    sanctions folded into the stream they surcharge. Audited evasion moves
+    x_o*v*(1+s_v) from the buyer to VAT and x_o*t_s*(1+s_ys) from the seller
+    to the seller's income tax; compliance is audit-neutral. Fields of
+    `policy` and `te` may be ndarrays: only arithmetic and `is` tests touch
+    them.
+    """
+    _check_event_defined(scenario, audited, event)
+    x_o, x_i, y_s, y_b = te.x_o, te.x_i, te.y_s, te.y_b
+
+    if scenario is Scenario.NO_TAXES:
+        plain = (y_b - x_o, y_s + x_o - x_i, 0.0, 0.0, 0.0)
+        return plain, plain if audited else None
+
+    t_s, t_b, v = policy.t_s, policy.t_b, policy.v
+    itb = t_b * y_b
+
+    if event is Event.COMPLY:
+        seller = (1.0 - t_s) * (y_s + x_o - x_i)
+        ires = t_s * (y_s + x_o - x_i)
+        if scenario is Scenario.TAX_WITH_DEDUCTIONS:
+            dv = policy.delta * v
+            buyer = (1.0 - t_b) * y_b - (1.0 - policy.theta) * x_o * (1.0 + dv)
+            plain = (buyer, seller, ires, itb - policy.theta * x_o * (1.0 + dv), x_o * dv)
+        else:
+            plain = ((1.0 - t_b) * y_b - x_o * (1.0 + v), seller, ires, itb, v * x_o)
+        return plain, plain if audited else None
+
+    # Evasion events are identical in the plain-tax and deduction scenarios.
+    # The seller invoices nothing, so the buyer pays x_o flat.
+    buyer = (1.0 - t_b) * y_b - x_o
+    if event is Event.EVADE_LT1:
+        seller = (1.0 - t_s) * (y_s - x_i * (1.0 + v)) + x_o
+        ires, vat = t_s * (y_s - x_i * (1.0 + v)), v * x_i
+    elif event is Event.EVADE_LT2:
+        seller = (1.0 - t_s) * y_s - x_i * (1.0 + v) + x_o
+        ires, vat = t_s * y_s, v * x_i
+    elif event is Event.EVADE_WT:
+        seller = (1.0 - t_s) * y_s + x_o - x_i
+        ires, vat = t_s * y_s, 0.0
+    else:  # EVADE_LT_APPENDIX
+        seller = (1.0 - t_s) * (y_s - x_i) + x_o - v * x_i
+        ires, vat = t_s * (y_s - x_i), v * x_i
+    plain = (buyer, seller, ires, itb, vat)
+    if not audited:
+        return plain, None
+    on_vat = x_o * v * (1.0 + policy.s_v)
+    on_ires = x_o * t_s * (1.0 + policy.s_ys)
+    return plain, (buyer - on_vat, seller - on_ires, ires + on_ires, itb, vat + on_vat)
 
 
 def government_revenue(
@@ -184,41 +242,9 @@ def government_revenue(
     te: TransactionEndowments,
 ) -> GovernmentRevenue:
     """Government revenue streams for one cell of the game."""
-    _check_event_defined(scenario, audited, event)
-    if scenario is Scenario.NO_TAXES:
-        return GovernmentRevenue(0.0, 0.0, 0.0)
-
-    t_s, t_b, v = policy.t_s, policy.t_b, policy.v
-    x_o, x_i, y_s, y_b = te.x_o, te.x_i, te.y_s, te.y_b
-
-    if event is Event.COMPLY:
-        if scenario is Scenario.TAX_WITH_DEDUCTIONS:
-            dv = policy.delta * v
-            return GovernmentRevenue(
-                income_tax_seller=t_s * (y_s + x_o - x_i),
-                income_tax_buyer=t_b * y_b - policy.theta * x_o * (1.0 + dv),
-                vat=x_o * dv,
-            )
-        return GovernmentRevenue(
-            income_tax_seller=t_s * (y_s + x_o - x_i),
-            income_tax_buyer=t_b * y_b,
-            vat=v * x_o,
-        )
-
-    # Evasion events are identical in the plain-tax and deduction scenarios.
-    if event is Event.EVADE_LT1:
-        ires, vat = t_s * (y_s - x_i * (1.0 + v)), v * x_i
-    elif event is Event.EVADE_LT2:
-        ires, vat = t_s * y_s, v * x_i
-    elif event is Event.EVADE_WT:
-        ires, vat = t_s * y_s, 0.0
-    else:  # EVADE_LT_APPENDIX
-        ires, vat = t_s * (y_s - x_i), v * x_i
-
-    if audited:
-        ires += x_o * t_s * (1.0 + policy.s_ys)
-        vat += x_o * v * (1.0 + policy.s_v)
-    return GovernmentRevenue(ires, t_b * y_b, vat)
+    plain, sanctioned = cell_streams(scenario, audited, event, policy, te)
+    _, _, ires, itb, vat = sanctioned or plain
+    return GovernmentRevenue(ires, itb, vat)
 
 
 def payoff_event(
@@ -235,43 +261,9 @@ def payoff_event(
     x_o*t_s*(1+s_ys) to the seller's. Under NO_TAXES every event collapses
     to the single benchmark payoff.
     """
-    _check_event_defined(scenario, audited, event)
-    x_o, x_i, y_s, y_b = te.x_o, te.x_i, te.y_s, te.y_b
-
-    if scenario is Scenario.NO_TAXES:
-        return PayoffVector(y_b - x_o, y_s + x_o - x_i, 0.0)
-
-    t_s, t_b, v = policy.t_s, policy.t_b, policy.v
-    gov = government_revenue(scenario, audited, event, policy, te).total()
-
-    if event is Event.COMPLY:
-        if scenario is Scenario.TAX_WITH_DEDUCTIONS:
-            dv = policy.delta * v
-            buyer = (1.0 - t_b) * y_b - (1.0 - policy.theta) * x_o * (1.0 + dv)
-        else:
-            buyer = (1.0 - t_b) * y_b - x_o * (1.0 + v)
-        seller = (1.0 - t_s) * (y_s + x_o - x_i)
-        return PayoffVector(buyer, seller, gov)
-
-    # Buyer side of every evasion event: the seller invoices nothing, so the
-    # buyer pays x_o flat; if audited they additionally owe the evaded VAT
-    # plus surcharge.
-    buyer = (1.0 - t_b) * y_b - x_o
-    if audited:
-        buyer -= x_o * v * (1.0 + policy.s_v)
-
-    if event is Event.EVADE_LT1:
-        seller = (1.0 - t_s) * (y_s - x_i * (1.0 + v)) + x_o
-    elif event is Event.EVADE_LT2:
-        seller = (1.0 - t_s) * y_s - x_i * (1.0 + v) + x_o
-    elif event is Event.EVADE_WT:
-        seller = (1.0 - t_s) * y_s + x_o - x_i
-    else:  # EVADE_LT_APPENDIX
-        seller = (1.0 - t_s) * (y_s - x_i) + x_o - v * x_i
-    if audited:
-        seller -= x_o * t_s * (1.0 + policy.s_ys)
-
-    return PayoffVector(buyer, seller, gov)
+    plain, sanctioned = cell_streams(scenario, audited, event, policy, te)
+    buyer, seller, ires, itb, vat = sanctioned or plain
+    return PayoffVector(buyer, seller, ires + itb + vat)
 
 
 def expected_payoff(
@@ -294,20 +286,22 @@ def expected_payoff(
     if isinstance(gamma, (int, float)) and gamma == 0.0:
         return payoff_event(scenario, False, event, policy, te)
 
-    unaudited = payoff_event(scenario, False, event, policy, te)
-    audited = payoff_event(scenario, True, event, policy, te)
+    (buyer, seller, ires, itb, vat), (a_buyer, a_seller, a_ires, a_itb, a_vat) = (
+        cell_streams(scenario, True, event, policy, te)
+    )
     w = 1.0 - gamma
-    buyer = w * unaudited.buyer + gamma * audited.buyer
     if (
         mode is SanctionBaseMode.PAPER_LITERAL
         and scenario is not Scenario.NO_TAXES
-        and event in EVASION_EVENTS
+        and event is not Event.COMPLY
     ):
-        buyer = unaudited.buyer - gamma * policy.v * (1.0 + policy.s_v)
+        buyer = buyer - gamma * policy.v * (1.0 + policy.s_v)
+    else:
+        buyer = w * buyer + gamma * a_buyer
     return PayoffVector(
         buyer,
-        w * unaudited.seller + gamma * audited.seller,
-        w * unaudited.government + gamma * audited.government,
+        w * seller + gamma * a_seller,
+        w * (ires + itb + vat) + gamma * (a_ires + a_itb + a_vat),
     )
 
 

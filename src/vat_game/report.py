@@ -16,8 +16,7 @@ from .model import (
     Scenario,
     TaxPolicy,
     TransactionEndowments,
-    government_revenue,
-    payoff_event,
+    cell_streams,
 )
 
 #: column key -> (scenario, event)
@@ -113,16 +112,18 @@ def compute_appendix_table(
     """Row -> column -> computed value, from the payoff engine."""
     table: dict[str, dict[str, float]] = {row: {} for row in APPENDIX_ROWS}
     for column, (scenario, event) in APPENDIX_COLUMNS.items():
-        pv = payoff_event(scenario, False, event, policy, te)
-        gov = government_revenue(scenario, False, event, policy, te)
-        table["yf_net"][column] = pv.seller
-        table["yb_net"][column] = pv.buyer
-        table["gov_yf"][column] = gov.income_tax_seller
-        table["gov_yb"][column] = gov.income_tax_buyer
-        table["gov_vat"][column] = gov.vat
-        table["ysoc"][column] = pv.total()
-        table["private_income_after_tax"][column] = pv.buyer + pv.seller
-        table["tot_taxes"][column] = gov.total()
+        (buyer, seller, ires, itb, vat), _ = cell_streams(
+            scenario, False, event, policy, te
+        )
+        government = ires + itb + vat
+        table["yf_net"][column] = seller
+        table["yb_net"][column] = buyer
+        table["gov_yf"][column] = ires
+        table["gov_yb"][column] = itb
+        table["gov_vat"][column] = vat
+        table["ysoc"][column] = buyer + seller + government
+        table["private_income_after_tax"][column] = buyer + seller
+        table["tot_taxes"][column] = government
     return table
 
 

@@ -229,9 +229,16 @@ class TestRegionCommand:
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_csv_matches_generic_emitter(self, capsys, tmp_path, mode, flags, to_file):
         # The raster rendered as one dict per cell through `_emit`, which
-        # formats every value on its own, is the reference for region's CSV.
+        # formats every value on its own, is the reference for region's CSV
+        # and JSON.
+        for fmt in ("csv", "json"):
+            self._matches_generic_emitter(capsys, tmp_path / fmt, mode, flags, to_file, fmt)
+
+    @staticmethod
+    def _matches_generic_emitter(capsys, tmp_path, mode, flags, to_file, fmt):
+        tmp_path.mkdir()
         argv = [
-            "region", "--preset", "section6", "--mode", mode,
+            "region", "--preset", "section6", "--mode", mode, "--format", fmt,
             "--theta-max", "0.4", "--theta-step", "0.05", "--gamma-step", "0.25", *flags,
         ]
         args = cli.build_parser().parse_args(argv)
@@ -263,10 +270,10 @@ class TestRegionCommand:
             }
             for line in lines
         ]
-        ref, got = tmp_path / "ref.csv", tmp_path / "region.csv"
-        companions = [p.with_name(p.stem + ".frontiers.csv") for p in (ref, got)]
+        ref, got = tmp_path / f"ref.{fmt}", tmp_path / f"region.{fmt}"
+        companions = [p.with_name(f"{p.stem}.frontiers.{fmt}") for p in (ref, got)]
         for table, path in ((rows, ref), (frontier_rows, companions[0])):
-            cli._emit(table, "csv", args.precision, str(path) if to_file else None)
+            cli._emit(table, fmt, args.precision, str(path) if to_file else None)
         expected = capsys.readouterr().out
 
         assert cli.main(argv + (["--out", str(got)] if to_file else [])) == 0
@@ -382,6 +389,9 @@ class TestUsage:
             ["thresholds", "--preset", "section6", "--set", "x_o=1e-14", "--set", "x_i=0"],
             ["region", "--preset", "section6", "--set", "x_o=1e-14", "--set", "x_i=0"],
             ["region", "--preset", "section6", "--set", "x_o=1e-320"],
+            # x_o*(1 + v*delta) within one tie band of the payoffs
+            ["thresholds", "--preset", "section6", "--set", "x_o=1e-9", "--set", "x_i=0"],
+            ["region", "--preset", "section6", "--set", "x_o=1e-9", "--set", "x_i=0"],
         ],
         ids=[
             "gamma-2", "gamma-no-audit", "gamma-certain-audit", "thresholds-every-0",
@@ -391,6 +401,7 @@ class TestUsage:
             "validate-format", "validate-precision", "validate-out",
             "precision-1e11", "region-precision-5e7",
             "thresholds-x_o-1e-14", "region-x_o-1e-14", "region-x_o-1e-320",
+            "thresholds-x_o-1e-9", "region-x_o-1e-9",
         ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):

@@ -1,5 +1,8 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +21,10 @@ from vat_game.model import (
     conservation_residual,
     defined_events,
     expected_payoff,
+    government_revenue,
     payoff_event,
 )
+from vat_game.oracle import iter_draws
 
 CORRECTED = SanctionBaseMode.CORRECTED
 LITERAL = SanctionBaseMode.PAPER_LITERAL
@@ -236,3 +241,48 @@ class TestErrors:
             TransactionEndowments(x_o=-1.0, x_i=0.0, y_s=1.0, y_b=1.0)
         with pytest.raises(ValueError):
             AuditRegime(1.5)
+
+
+#: Recorded from the engine before its per-cell payoffs shared one kernel;
+#: any change in an expression's operation order moves it.
+ENGINE_DIGEST = "bef527812084e56e4bc830f820e7961b3e994e80181a9d125ae9fcc2d3e1b9c1"
+DIGEST_GAMMAS = (0.0, 0.37, 1.0)
+
+
+def _engine_outputs(policy, te):
+    """Every payoff_event, government_revenue and expected_payoff output."""
+    for scenario in Scenario:
+        for audited in (False, True):
+            for event in defined_events(scenario, audited):
+                yield payoff_event(scenario, audited, event, policy, te)
+                yield government_revenue(scenario, audited, event, policy, te)
+        for mode in SanctionBaseMode:
+            for gamma in DIGEST_GAMMAS:
+                for event in defined_events(scenario, gamma > 0.0):
+                    yield expected_payoff(
+                        scenario, AuditRegime(gamma), event, policy, te, mode
+                    )
+
+
+def test_engine_matches_recorded_digest():
+    digest = hashlib.sha256()
+    for draw in iter_draws(42, 200):
+        for values in _engine_outputs(draw.policy, draw.te):
+            digest.update(" ".join(float(x).hex() for x in values).encode() + b"\n")
+    assert digest.hexdigest() == ENGINE_DIGEST
+
+
+@pytest.mark.parametrize("mode", list(SanctionBaseMode), ids=lambda m: m.value)
+def test_array_gamma_matches_scalar_bit_for_bit(mode):
+    gammas = np.array([0.0, 0.37, 0.5, 1.0])
+    regime = SimpleNamespace(gamma=gammas)
+    for draw in iter_draws(7, 20):
+        for scenario in Scenario:
+            for event in CANONICAL_EVENTS:
+                mixed = expected_payoff(scenario, regime, event, draw.policy, draw.te, mode)
+                for j, gamma in enumerate(gammas):
+                    scalar = expected_payoff(
+                        scenario, AuditRegime(float(gamma)), event, draw.policy, draw.te, mode
+                    )
+                    for got, want in zip(mixed, scalar):
+                        assert float(got[j]).hex() == want.hex(), (draw.tag, scenario, event)
