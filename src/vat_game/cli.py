@@ -8,12 +8,13 @@ mismatch. All numeric output is locale-independent fixed point.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import coalition, dominance, oracle, report
 from .coalition import FrontierUndefinedError
@@ -94,11 +95,19 @@ def _emit(rows: list[dict[str, object]], fmt: str, precision: int, out: str | No
     _write(text, out)
 
 
-def _write(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _opened(out: str | None) -> Iterator[TextIO]:
+    """Standard output, or the file `out` opened once for writing."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            yield f
+
+
+def _write(text: str, out: str | None) -> None:
+    with _opened(out) as f:
+        f.write(text)
 
 
 def _threshold_cell(result: ThresholdResult) -> object:
@@ -127,9 +136,7 @@ def cmd_payoffs(args: argparse.Namespace) -> int:
     if args.event is not None:
         events: Sequence[Event] = (_EVENTS[args.event],)
     else:
-        events = defined_events(scenario, audited=gamma == 1.0)
-        if gamma > 0.0:
-            events = [e for e in events if e is not Event.EVADE_LT_APPENDIX]
+        events = defined_events(scenario, audited=gamma > 0.0)
 
     rows = []
     for event in events:
@@ -308,20 +315,23 @@ def cmd_region(args: argparse.Namespace) -> int:
             for v in coalition.FRONTIER_VARIANTS
         )
     ]
-    _write(_region_text(thetas, gammas, winners.tolist(), args.format, args.precision), args.out)
+    rows = _region_rows(thetas, gammas, winners.tolist(), args.format, args.precision)
+    with _opened(args.out) as f:
+        f.writelines(rows)
     companion = _companion_path(args.out)
     _emit(frontier_rows, args.format, args.precision, companion)
     return EXIT_OK
 
 
-def _region_text(
+def _region_rows(
     thetas: list[float], gammas: list[float], winners: list[list[int]], fmt: str, precision: int
-) -> str:
-    """The raster as `_emit` would write it from one dict per cell.
+) -> Iterator[str]:
+    """The raster as `_emit` would write it from one dict per cell, row by row.
 
     A cell is its theta's head joined with its gamma's tail for the joint
     strategy that wins it. Each gamma is rendered once per strategy and each
-    theta once per row, so no cell becomes a dict or formats a number.
+    theta once per row, so no cell becomes a dict or formats a number, and
+    only one row of text is held at a time.
     """
     if fmt == "csv":
         start, sep, end = "theta,gamma,best_event,complies\n", "\n", "\n"
@@ -342,14 +352,11 @@ def _region_text(
             ]
             for gamma in gammas
         ]
-    rows = [
-        head + (sep + head).join(map(operator.getitem, tails, row))  # theta outer, gamma inner
-        for head, row in zip(heads, winners)
-    ]
-    # Framing the end rows, not the joined text, saves a copy of the output.
-    rows[0] = start + rows[0]
-    rows[-1] += end
-    return sep.join(rows)
+    yield start
+    for i, (head, row) in enumerate(zip(heads, winners)):
+        cells = (sep + head).join(map(operator.getitem, tails, row))
+        yield (sep if i else "") + head + cells  # theta outer, gamma inner
+    yield end
 
 
 def _companion_path(out: str | None) -> str | None:
@@ -397,16 +404,9 @@ def cmd_appendix(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
-    if args.thresholds_every < 1:
-        raise ConfigError("--thresholds-every must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
-    rep = oracle.validate(
-        seed=args.seed,
-        draws=args.draws,
-        mode=_MODES[args.mode],
-        thresholds_every=args.thresholds_every,
-    )
+    rep = oracle.validate(seed=args.seed, draws=args.draws, mode=_MODES[args.mode])
     for line in rep.summary_lines():
         print(line)
     return EXIT_OK if rep.ok else EXIT_MISMATCH
@@ -467,13 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[mode], help="brute-force oracle run")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--draws", type=int, default=10_000)
-    p.add_argument(
-        "--thresholds-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="check thresholds on every K-th draw",
-    )
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -1,7 +1,7 @@
-"""Pairwise strategy comparisons and closed-form compliance thresholds.
+"""Pairwise payoff margins and closed-form compliance thresholds.
 
 Every threshold here is an explicit formula; the oracle module re-derives
-each one as the root of a payoff margin of the engine, and the two must
+each one as the root of a `compare` margin of the engine, and the two must
 agree.
 
 The package's one tie rule lives here too: two payoffs tie when they lie
@@ -63,18 +63,6 @@ def agent_payoff(agent: Agent, pv: PayoffVector) -> float:
     return pv.buyer if agent is Agent.BUYER else pv.seller
 
 
-class Relation(Enum):
-    FIRST_STRICT = "first-strict"
-    SECOND_STRICT = "second-strict"
-    INDIFFERENT = "indifferent"
-
-
-@dataclass(frozen=True)
-class Preference:
-    relation: Relation
-    margin: float  # first minus second, in currency units
-
-
 class Sentinel(Enum):
     VALUE = "value"
     ALWAYS_SATISFIED = "always-satisfied"
@@ -121,18 +109,17 @@ def compare(
     policy: TaxPolicy,
     te: TransactionEndowments,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-) -> Preference:
-    """Classify the sign of the agent's expected-payoff margin first-second."""
-    margin = agent_payoff(
+) -> float | np.ndarray:
+    """The agent's expected-payoff margin first - second, in currency units.
+
+    The agent prefers `first` where the margin exceeds `tie_band(te)` and
+    `second` where it falls below minus the band. The inputs may be views
+    whose fields are arrays that broadcast against each other; the margin is
+    then an array too.
+    """
+    return agent_payoff(
         agent, expected_payoff(scenario, regime, first, policy, te, mode)
     ) - agent_payoff(agent, expected_payoff(scenario, regime, second, policy, te, mode))
-    if abs(margin) <= tie_band(te):
-        relation = Relation.INDIFFERENT
-    elif margin > 0:
-        relation = Relation.FIRST_STRICT
-    else:
-        relation = Relation.SECOND_STRICT
-    return Preference(relation, margin)
 
 
 def seller_tax_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
@@ -158,25 +145,19 @@ def vat_rate_threshold(policy: TaxPolicy, te: TransactionEndowments) -> Threshol
     return ThresholdResult.of(policy.t_s * (te.x_o - te.x_i) / te.x_i)
 
 
-def _literal_x_o(te: TransactionEndowments | None) -> float:
-    if te is None:
-        raise ValueError("paper-literal buyer thresholds depend on x_o: pass te")
-    return te.x_o
-
-
 def buyer_theta_threshold(
     regime: AuditRegime,
     policy: TaxPolicy,
-    te: TransactionEndowments | None = None,
+    te: TransactionEndowments,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> ThresholdResult:
     """Deduction share above which the buyer complies in the deduction scenario.
 
     CORRECTED: theta* = (v*delta - gamma*v*(1+s_v)) / (1 + v*delta). The
     sanction is levied on the evaded tax x_o*v, as in Yitzhaki (1974), so
-    x_o cancels and `te` may be omitted. PAPER_LITERAL charges
-    gamma*v*(1+s_v) flat, proportional neither to the evaded tax nor to the
-    undeclared base x_o (Allingham and Sandmo 1972), so x_o stays:
+    x_o cancels. PAPER_LITERAL charges gamma*v*(1+s_v) flat, proportional
+    neither to the evaded tax nor to the undeclared base x_o (Allingham and
+    Sandmo 1972), so x_o stays:
     theta* = (x_o*v*delta - gamma*v*(1+s_v)) / (x_o*(1 + v*delta)),
     undefined at x_o = 0. The no-audit and certain-audit bounds are the
     gamma=0 and gamma=1 specializations. A negative bound means any
@@ -186,7 +167,7 @@ def buyer_theta_threshold(
     sanction = regime.gamma * v * (1.0 + policy.s_v)
     if mode is SanctionBaseMode.CORRECTED:
         return ThresholdResult.of((v * delta - sanction) / (1.0 + v * delta))
-    x_o = _literal_x_o(te)
+    x_o = te.x_o
     if x_o == 0.0:
         return ThresholdResult.undefined()
     return ThresholdResult.of((x_o * v * delta - sanction) / (x_o * (1.0 + v * delta)))
@@ -194,21 +175,20 @@ def buyer_theta_threshold(
 
 def buyer_gamma_threshold(
     policy: TaxPolicy,
-    te: TransactionEndowments | None = None,
+    te: TransactionEndowments,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
 ) -> ThresholdResult:
     """Audit probability above which the buyer complies without deductions.
 
     The expected sanction must outweigh the evaded VAT x_o*v. CORRECTED
     levies it on the evaded tax (Yitzhaki 1974), gamma*x_o*v*(1+s_v), so
-    gamma* = 1 / (1 + s_v) and `te` may be omitted. PAPER_LITERAL levies
-    gamma*v*(1+s_v) on no base at all, neither the evaded tax nor the
-    undeclared x_o (Allingham and Sandmo 1972), so gamma* = x_o / (1 + s_v),
-    undefined at x_o = 0.
+    gamma* = 1 / (1 + s_v). PAPER_LITERAL levies gamma*v*(1+s_v) on no base
+    at all, neither the evaded tax nor the undeclared x_o (Allingham and
+    Sandmo 1972), so gamma* = x_o / (1 + s_v), undefined at x_o = 0.
     """
     if mode is SanctionBaseMode.CORRECTED:
         return ThresholdResult.of(1.0 / (1.0 + policy.s_v))
-    x_o = _literal_x_o(te)
+    x_o = te.x_o
     if x_o == 0.0:
         return ThresholdResult.undefined()
     return ThresholdResult.of(x_o / (1.0 + policy.s_v))

@@ -49,6 +49,7 @@ from .dominance import (
     Sentinel,
     ThresholdResult,
     agent_payoff,
+    compare,
     dominant_events,
     tie_band,
     tied_for_best,
@@ -66,6 +67,8 @@ from .model import (
 
 #: Draws validated per array pass. It bounds memory; reports do not depend on it.
 BLOCK_DRAWS = 4096
+#: Largest gap between a closed-form threshold and its oracle root, absolute.
+THRESHOLD_ATOL = 1e-6
 
 
 class NonMonotoneError(RuntimeError):
@@ -197,11 +200,9 @@ def _margin_fn(
     te: TransactionEndowments | SimpleNamespace,
     mode: SanctionBaseMode,
 ) -> Margin:
-    """The comparison's payoff margin as a function of one parameter.
+    """The comparison's `dominance.compare` margin as a function of one parameter.
 
-    The margin takes a float or an ndarray of parameter values and returns
-    agent_payoff(first) - agent_payoff(second) over `expected_payoff`: at
-    each point, the value of `dominance.compare(...).margin`. `policy` and
+    The margin takes a float or an ndarray of parameter values. `policy` and
     `te` may be views whose fields are arrays with one element per draw; the
     parameter values broadcast against them. Evaluation runs on a plain view
     with the varied field replaced and validates nothing.
@@ -209,20 +210,11 @@ def _margin_fn(
     owner = _OWNER[varied_parameter]
     inputs = {"policy": policy, "te": te, "regime": comparison.regime}
     fields = vars(inputs[owner])
-    agent, scenario = comparison.agent, comparison.scenario
+    head = (comparison.agent, comparison.first, comparison.second, comparison.scenario)
 
     def margin(x):
         view = {**inputs, owner: SimpleNamespace(**{**fields, varied_parameter: x})}
-        first, second = (
-            agent_payoff(
-                agent,
-                expected_payoff(
-                    scenario, view["regime"], event, view["policy"], view["te"], mode
-                ),
-            )
-            for event in (comparison.first, comparison.second)
-        )
-        return first - second
+        return compare(*head, view["regime"], view["policy"], view["te"], mode)
 
     return margin
 
@@ -482,10 +474,8 @@ def _check_best_responses(policy, te, band, draws, mode) -> list[tuple[int, int,
     return failures
 
 
-def _check_thresholds(
-    policy, te, band, draws, rows, mode, atol, report
-) -> list[tuple[int, int, str]]:
-    """Each closed form against the affine root of its margin, on `rows`.
+def _check_thresholds(policy, te, band, draws, mode, report) -> list[tuple[int, int, str]]:
+    """Each closed form against the affine root of its margin, on every draw.
 
     Adds the checks and the largest deviation to `report`; returns
     (draw in the block, check rank, message) per failure.
@@ -494,9 +484,9 @@ def _check_thresholds(
     for rank, case in enumerate(_THRESHOLD_CASES, start=_BEST_RESPONSE_CASES):
         lo, hi = case.lo, case.hi
         analytic = np.full(len(draws), np.nan)
-        for k in rows:
-            if case.applies(draws[k]):
-                result = case.closed_form(draws[k], mode)
+        for k, draw in enumerate(draws):
+            if case.applies(draw):
+                result = case.closed_form(draw, mode)
                 if result.sentinel is Sentinel.VALUE and lo <= result.value <= hi:
                     analytic[k] = result.value
         checked = ~np.isnan(analytic)
@@ -516,9 +506,9 @@ def _check_thresholds(
             )
         # No crossing: accept a closed form at the edge of the range, where
         # the margin is flat near zero gain; report any other.
-        inside = np.minimum(analytic - lo, hi - analytic) > atol
+        inside = np.minimum(analytic - lo, hi - analytic) > THRESHOLD_ATOL
         sentinel = counted & (roots.sign != 0.0) & inside
-        missed = at_root & (deviation > atol)
+        missed = at_root & (deviation > THRESHOLD_ATOL)
         for k in np.flatnonzero((checked & ~affine) | sentinel | missed):
             where = f"[{draws[k].tag}] {case.name}:"
             if not affine[k]:
@@ -545,14 +535,11 @@ def validate(
     seed: int,
     draws: int,
     mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-    threshold_atol: float = 1e-6,
-    thresholds_every: int = 1,
 ) -> ValidationReport:
     """Run the full oracle suite over a seeded draw batch.
 
-    Best responses are compared on every draw; thresholds on every
-    `thresholds_every`-th draw. Failures are listed in draw order, each
-    draw's best responses before its thresholds.
+    Best responses and thresholds are compared on every draw. Failures are
+    listed in draw order, each draw's best responses before its thresholds.
     """
     report = ValidationReport(seed=seed, draws=draws)
     found = []  # (draw, check rank, message)
@@ -561,10 +548,7 @@ def validate(
         band = tie_band(te)
         failures = _check_best_responses(policy, te, band, block, mode)
         report.best_response_checks += _BEST_RESPONSE_CASES * len(block)
-        rows = range(-start % thresholds_every, len(block), thresholds_every)
-        failures += _check_thresholds(
-            policy, te, band, block, rows, mode, threshold_atol, report
-        )
+        failures += _check_thresholds(policy, te, band, block, mode, report)
         found += [(start + int(k), rank, message) for k, rank, message in failures]
     report.failures = [message for _, _, message in sorted(found)]
     return report

@@ -93,7 +93,7 @@ def test_criterion_2_frontier_anchors():
 def test_criterion_3_buyer_gamma_anchor():
     policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.33)
     te = build_parameters("section6", None, None)[1]
-    closed = buyer_gamma_threshold(policy).value
+    closed = buyer_gamma_threshold(policy, te).value
     comparison = oracle.Comparison(
         oracle.Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)
     )
@@ -167,7 +167,7 @@ def test_criterion_4_conservation():
 def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
     results = {
-        mode: oracle.validate(seed=42, draws=10_000, mode=mode, threshold_atol=1e-6)
+        mode: oracle.validate(seed=42, draws=10_000, mode=mode)
         for mode in SanctionBaseMode
     }
     elapsed = time.perf_counter() - start
@@ -238,15 +238,15 @@ def test_criterion_7_structure():
     affine_ok = worst_affine <= 1e-12
 
     vd = policy.v * policy.delta
-    at_zero = buyer_theta_threshold(AuditRegime(0.0), policy).value
-    at_one = buyer_theta_threshold(AuditRegime(1.0), policy).value
+    at_zero = buyer_theta_threshold(AuditRegime(0.0), policy, te).value
+    at_one = buyer_theta_threshold(AuditRegime(1.0), policy, te).value
     exact_ok = (
         at_zero == vd / (1.0 + vd)
         and at_one == (vd - policy.v * (1.0 + policy.s_v)) / (1.0 + vd)
     )
 
     values = [
-        buyer_theta_threshold(AuditRegime(g / 100), policy).value for g in range(101)
+        buyer_theta_threshold(AuditRegime(g / 100), policy, te).value for g in range(101)
     ]
     monotone_ok = all(a > b for a, b in zip(values, values[1:]))
 

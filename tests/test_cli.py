@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,23 @@ class TestRegionCommand:
             assert got.read_bytes() == ref.read_bytes()
             assert companions[1].read_bytes() == companions[0].read_bytes()
 
+    def test_raster_is_never_held_whole(self, tmp_path):
+        # A 501 x 501 JSON raster is 24 MiB of text. Rendered as one string
+        # and framed, it peaked at twice that; written row by row, the peak
+        # stays below the size of the file.
+        out_path = tmp_path / "region.json"
+        argv = [
+            "region", "--preset", "section6", "--format", "json",
+            "--theta-step", "0.002", "--gamma-step", "0.002", "--out", str(out_path),
+        ]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out_path.stat().st_size
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -367,7 +385,8 @@ class TestUsage:
             # --gamma prices only the bayesian regime; elsewhere it is refused
             ["payoffs", "--preset", "appendix", "--regime", "no-audit", "--gamma", "0.7"],
             ["payoffs", "--preset", "appendix", "--regime", "certain-audit", "--gamma", "0.7"],
-            ["validate", "--draws", "1", "--thresholds-every", "0"],
+            # every draw's thresholds are checked; there is no sampling option
+            ["validate", "--draws", "1", "--thresholds-every", "2"],
             ["thresholds", "--preset", "section6", "--set", "x_o=0", "--set", "x_i=0"],
             ["payoffs", "--preset", "appendix", "--precision", "-1"],
             ["payoffs", "--config", str(Path(__file__).resolve().parent)],
@@ -394,7 +413,7 @@ class TestUsage:
             ["region", "--preset", "section6", "--set", "x_o=1e-9", "--set", "x_i=0"],
         ],
         ids=[
-            "gamma-2", "gamma-no-audit", "gamma-certain-audit", "thresholds-every-0",
+            "gamma-2", "gamma-no-audit", "gamma-certain-audit", "validate-thresholds-every",
             "x_o-0", "precision-minus-1",
             "config-is-directory", "tolerance-nan", "tolerance-minus-1", "seed-minus-1",
             "region-x_o-0", "validate-preset", "validate-config", "validate-set",

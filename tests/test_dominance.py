@@ -12,7 +12,6 @@ from vat_game.coalition import (
 )
 from vat_game.dominance import (
     Agent,
-    Relation,
     Sentinel,
     buyer_gamma_threshold,
     buyer_theta_threshold,
@@ -21,6 +20,7 @@ from vat_game.dominance import (
     seller_gamma_threshold_elt2,
     seller_gamma_threshold_ewt,
     seller_tax_threshold,
+    tie_band,
     vat_rate_threshold,
 )
 from vat_game.model import (
@@ -45,28 +45,28 @@ def small_te(x_o=100.0, x_i=50.0):
 class TestCompare:
     def test_buyer_prefers_evasion_without_audit(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22)
-        pref = compare(
+        margin = compare(
             Agent.BUYER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX, NO_AUDIT,
             policy, small_te(),
         )
-        assert pref.relation is Relation.SECOND_STRICT
-        assert pref.margin == pytest.approx(-policy.v * 100.0)
+        assert margin < -tie_band(small_te())
+        assert margin == pytest.approx(-policy.v * 100.0)
 
     def test_seller_complies_under_certain_audit(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.3, s_ys=0.3)
-        pref = compare(
+        margin = compare(
             Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, CERTAIN,
             policy, small_te(),
         )
-        assert pref.relation is Relation.FIRST_STRICT
+        assert margin > tie_band(small_te())
 
     def test_zero_vat_makes_buyer_indifferent(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.0)
-        pref = compare(
+        margin = compare(
             Agent.BUYER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX, NO_AUDIT,
             policy, small_te(),
         )
-        assert pref.relation is Relation.INDIFFERENT
+        assert abs(margin) <= tie_band(small_te())
 
 
 class TestSellerTaxThreshold:
@@ -98,8 +98,8 @@ class TestSellerTaxThreshold:
             Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, NO_AUDIT,
             dataclasses.replace(policy, t_s=star + 0.01), te,
         )
-        assert lo.relation is Relation.FIRST_STRICT
-        assert hi.relation is Relation.SECOND_STRICT
+        assert lo > tie_band(te)
+        assert hi < -tie_band(te)
 
 
 class TestVatRateThreshold:
@@ -121,31 +121,32 @@ class TestVatRateThreshold:
 class TestBuyerThetaThreshold:
     def test_no_audit_value(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, delta=1.0)
-        result = buyer_theta_threshold(NO_AUDIT, policy)
+        result = buyer_theta_threshold(NO_AUDIT, policy, small_te())
         assert result.value == pytest.approx(0.22 / 1.22)
         assert result.value == pytest.approx(0.180328, abs=1e-6)
 
     def test_gamma_zero_specialization_is_exact(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, delta=0.8, s_v=0.5)
+        te = small_te()
         assert (
-            buyer_theta_threshold(AuditRegime(0.0), policy).value
-            == buyer_theta_threshold(NO_AUDIT, policy).value
+            buyer_theta_threshold(AuditRegime(0.0), policy, te).value
+            == buyer_theta_threshold(NO_AUDIT, policy, te).value
         )
         assert (
-            buyer_theta_threshold(AuditRegime(1.0), policy).value
-            == buyer_theta_threshold(CERTAIN, policy).value
+            buyer_theta_threshold(AuditRegime(1.0), policy, te).value
+            == buyer_theta_threshold(CERTAIN, policy, te).value
         )
 
     def test_certain_audit_negative_bound_flagged(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, delta=1.0, s_v=0.3)
-        result = buyer_theta_threshold(CERTAIN, policy)
+        result = buyer_theta_threshold(CERTAIN, policy, small_te())
         assert result.value == pytest.approx(-0.054098, abs=1e-6)
         assert not result.feasible_in_unit_interval
 
     def test_strictly_decreasing_in_gamma(self):
         policy = TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, delta=1.0, s_v=0.3)
         values = [
-            buyer_theta_threshold(AuditRegime(g / 100), policy).value
+            buyer_theta_threshold(AuditRegime(g / 100), policy, small_te()).value
             for g in range(101)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -154,13 +155,13 @@ class TestBuyerThetaThreshold:
 class TestGammaThresholds:
     def test_buyer_gamma_worked_value(self):
         assert buyer_gamma_threshold(
-            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.33)
+            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.33), small_te()
         ).value == pytest.approx(0.75188, abs=1e-5)
         assert buyer_gamma_threshold(
-            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.0)
+            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=0.0), small_te()
         ).value == 1.0
         assert buyer_gamma_threshold(
-            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=1.0)
+            TaxPolicy(t_s=0.24, t_b=0.33, v=0.22, s_v=1.0), small_te()
         ).value == 0.5
 
     def test_seller_gamma_ewt(self):
@@ -217,20 +218,20 @@ class TestBuyerThresholdsByMode:
     def test_theta_threshold_zeroes_the_margin(self, mode):
         regime = AuditRegime(0.37)
         star = buyer_theta_threshold(regime, self.POLICY, self.TE, mode).value
-        pref = compare(
+        margin = compare(
             Agent.BUYER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX_WITH_DEDUCTIONS,
             regime, dataclasses.replace(self.POLICY, theta=star), self.TE, mode,
         )
-        assert pref.margin == pytest.approx(0.0, abs=1e-12)
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", list(SanctionBaseMode))
     def test_gamma_threshold_zeroes_the_margin(self, mode):
         star = buyer_gamma_threshold(self.POLICY, self.TE, mode).value
-        pref = compare(
+        margin = compare(
             Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX,
             AuditRegime(star), self.POLICY, self.TE, mode,
         )
-        assert pref.margin == pytest.approx(0.0, abs=1e-12)
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_paper_literal_formulas(self):
         literal = SanctionBaseMode.PAPER_LITERAL
@@ -243,17 +244,16 @@ class TestBuyerThresholdsByMode:
         ).value == pytest.approx((100.0 * 0.22 - 0.22 * 1.3) / (100.0 * 1.22))
 
     def test_corrected_mode_needs_no_endowments(self):
-        assert buyer_gamma_threshold(self.POLICY) == buyer_gamma_threshold(
+        # x_o cancels from the corrected margins, so no endowment moves them
+        assert buyer_gamma_threshold(self.POLICY, self.TE) == buyer_gamma_threshold(
             self.POLICY, small_te(), CORRECTED
         )
-        assert buyer_theta_threshold(CERTAIN, self.POLICY) == buyer_theta_threshold(
+        assert buyer_theta_threshold(CERTAIN, self.POLICY, self.TE) == buyer_theta_threshold(
             CERTAIN, self.POLICY, small_te(), CORRECTED
         )
 
     def test_paper_literal_degenerate_inputs(self):
         literal = SanctionBaseMode.PAPER_LITERAL
-        with pytest.raises(ValueError, match="pass te"):
-            buyer_gamma_threshold(self.POLICY, mode=literal)
         empty = small_te(x_o=0.0, x_i=0.0)
         assert buyer_gamma_threshold(self.POLICY, empty, literal).sentinel is (
             Sentinel.UNDEFINED
@@ -307,24 +307,24 @@ class TestTieRule:
         axis = [0.0, 0.5, 1.0]
 
         def verdicts():
+            margin = compare(
+                Agent.SELLER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX, NO_AUDIT, policy, te
+            )
             return (
-                compare(
-                    Agent.SELLER, Event.COMPLY, Event.EVADE_LT1, Scenario.TAX, NO_AUDIT,
-                    policy, te,
-                ).relation,
+                0 if abs(margin) <= tie_band(te) else np.sign(margin),
                 [dominant_events(a, Scenario.TAX, NO_AUDIT, policy, te) for a in Agent],
                 coalition_best_event(0.0, policy, te),
                 coalition_best_events_grid(axis, axis, policy, te).tolist(),
             )
 
-        relation, dominant, best, grid = verdicts()
-        assert relation is Relation.SECOND_STRICT
+        sign, dominant, best, grid = verdicts()
+        assert sign == -1
         assert all(events != CANONICAL_EVENTS for events in dominant)
         assert best != COALITION_EVENTS
         assert grid != [[0] * 3] * 3
         monkeypatch.setattr(dominance, "TIE_RTOL", 1.0)
-        relation, dominant, best, grid = verdicts()
-        assert relation is Relation.INDIFFERENT
+        sign, dominant, best, grid = verdicts()
+        assert sign == 0
         assert dominant == [CANONICAL_EVENTS] * len(Agent)
         assert best == COALITION_EVENTS
         assert grid == [[0] * 3] * 3  # every cell ties, so comply wins it

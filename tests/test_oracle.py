@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def shift_buyer_gamma_threshold(monkeypatch, shift):
     """Move every value of `dominance.buyer_gamma_threshold` by `shift`."""
     closed_form = dominance.buyer_gamma_threshold
 
-    def shifted(policy, te=None, mode=CORRECTED):
+    def shifted(policy, te, mode=CORRECTED):
         result = closed_form(policy, te, mode)
         return dominance.ThresholdResult.of(result.value + shift)
 
@@ -114,7 +115,7 @@ class TestBestResponse:
             return gains
 
         monkeypatch.setattr(oracle, "_rule_gains", perturbed)
-        report = oracle.validate(seed=5, draws=20, thresholds_every=20)
+        report = oracle.validate(seed=5, draws=20)
         assert report.best_response_checks == 20 * 18
         assert len(report.failures) == mismatches
         for message in report.failures:
@@ -249,27 +250,31 @@ class TestMargin:
     def test_array_margin_equals_float_margin(self, mode):
         for draw in oracle.iter_draws(seed=5, count=30):
             for case in oracle._THRESHOLD_CASES:
-                comparison = case.comparison
-                margin = oracle._margin_fn(case.varied, comparison, draw.policy, draw.te, mode)
+                margin = oracle._margin_fn(
+                    case.varied, case.comparison, draw.policy, draw.te, mode
+                )
                 xs = np.linspace(case.lo, case.hi, 33)
                 want = [margin(float(x)) for x in xs]
                 assert np.broadcast_to(margin(xs), xs.shape).tolist() == want, case.name
-                # the float margin is the comparison's own margin
-                x = float(xs[7])
-                param = case.varied
-                if param == "gamma":
-                    regime, policy, te = AuditRegime(x), draw.policy, draw.te
-                elif hasattr(draw.policy, param):
-                    regime = comparison.regime
-                    policy = dataclasses.replace(draw.policy, **{param: x})
-                    te = draw.te
-                else:
-                    regime, policy = comparison.regime, draw.policy
-                    te = dataclasses.replace(draw.te, **{param: x})
-                assert want[7] == dominance.compare(
-                    comparison.agent, comparison.first, comparison.second,
-                    comparison.scenario, regime, policy, te, mode,
-                ).margin, case.name
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_margin_over_complying_is_minus_the_rule_gain(self, mode):
+        # `compare` runs the engine; `_rule_gains` is the closed-form rule,
+        # which never calls it. Audit rates form a column, draws a row.
+        (_, policy, te), = oracle._blocks(seed=14, count=2000)
+        gammas = np.array([[0.0], [0.37], [1.0]])
+        regime = SimpleNamespace(gamma=gammas)
+        band = dominance.tie_band(te)
+        for scenario in Scenario:
+            for agent in Agent:
+                gains = oracle._rule_gains(agent, scenario, gammas, policy, te, mode)
+                for event, gain in zip(CANONICAL_EVENTS, gains):
+                    margin = dominance.compare(
+                        agent, Event.COMPLY, event, scenario, regime, policy, te, mode
+                    )
+                    gap = np.abs(margin + gain) / band
+                    assert gap.shape == (3, 2000)
+                    assert gap.max() <= 0.01, (agent, scenario, event)
 
     @pytest.mark.parametrize("mode", list(SanctionBaseMode))
     def test_block_margin_equals_per_draw_margin(self, mode):
@@ -296,22 +301,20 @@ class TestMargin:
 
 class TestValidate:
     def test_small_batch_passes(self):
-        report = oracle.validate(seed=42, draws=200, thresholds_every=4)
+        report = oracle.validate(seed=42, draws=200)
         assert report.ok
         assert report.best_response_checks == 200 * 3 * 3 * 2
         assert report.threshold_checks > 0
         assert report.max_threshold_deviation <= 1e-6
 
     def test_paper_literal_batch_passes(self):
-        report = oracle.validate(
-            seed=42, draws=200, mode=SanctionBaseMode.PAPER_LITERAL, thresholds_every=4
-        )
+        report = oracle.validate(seed=42, draws=200, mode=SanctionBaseMode.PAPER_LITERAL)
         assert report.ok, report.failures[:3]
         assert report.threshold_checks > 0
 
     def test_report_is_deterministic(self):
-        a = oracle.validate(seed=9, draws=50, thresholds_every=5)
-        b = oracle.validate(seed=9, draws=50, thresholds_every=5)
+        a = oracle.validate(seed=9, draws=50)
+        b = oracle.validate(seed=9, draws=50)
         assert a.summary_lines() == b.summary_lines()
 
     def test_closed_form_off_by_1e_5_is_reported(self, monkeypatch):
@@ -375,7 +378,7 @@ class TestValidate:
             monkeypatch.setattr(oracle, "BLOCK_DRAWS", block)
             reports.append(
                 [
-                    oracle.validate(seed=10, draws=50, mode=mode, thresholds_every=3)
+                    oracle.validate(seed=10, draws=50, mode=mode)
                     for mode in SanctionBaseMode
                 ]
             )
