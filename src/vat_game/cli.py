@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from . import coalition, dominance, oracle, report
+from . import coalition, dominance, report
 from .coalition import FrontierUndefinedError
 from .config import ConfigError, build_parameters
 from .dominance import Sentinel, ThresholdResult
@@ -406,6 +406,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigError("--draws must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
+    from . import oracle  # here, so that the other commands start without numpy
+
     rep = oracle.validate(seed=args.seed, draws=args.draws, mode=_MODES[args.mode])
     for line in rep.summary_lines():
         print(line)

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
-import numpy as np
-
 from .dominance import ThresholdResult, tie_band, tied_for_best
 from .model import (
     AuditRegime,
@@ -226,6 +224,8 @@ def coalition_payoff_grid(
     admissible too. The engine then runs once per joint strategy on plain
     views of the policy (theta a column) and the regime (gamma a row).
     """
+    import numpy as np  # here, so that commands without a grid start without numpy
+
     thetas = np.asarray(thetas, dtype=float).reshape(-1, 1)
     gammas = np.asarray(gammas, dtype=float).reshape(1, -1)
     if thetas.size == 0 or gammas.size == 0:

@@ -2,7 +2,10 @@
 
 Every threshold here is an explicit formula; the oracle module re-derives
 each one as the root of a `compare` margin of the engine, and the two must
-agree.
+agree. Each formula is written once, as a `*_bound` expression that holds on
+floats and on arrays of draws alike and returns a `Bound`: the value and the
+masks where a sentinel replaces it. The `*_threshold` functions read one
+parameter set's `ThresholdResult` from it. None of them calls the engine.
 
 The package's one tie rule lives here too: two payoffs tie when they lie
 within `tie_band` of each other, and `tied_for_best` is the argmax with
@@ -13,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import Any, NamedTuple
 
 from .model import (
     CANONICAL_EVENTS,
@@ -50,6 +52,8 @@ def tied_for_best(payoffs, band) -> np.ndarray:
     the best; `band` may be an array that broadcasts against one strategy's
     payoffs.
     """
+    import numpy as np  # here, so that commands without arrays start without numpy
+
     payoffs = np.asarray(payoffs)
     return payoffs >= payoffs.max(axis=0) - band
 
@@ -122,35 +126,72 @@ def compare(
     ) - agent_payoff(agent, expected_payoff(scenario, regime, second, policy, te, mode))
 
 
-def seller_tax_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+class Bound(NamedTuple):
+    """A closed-form threshold over floats or over arrays of draws.
+
+    `value` is the formula. Each mask marks where a sentinel replaces it; the
+    first that holds, in field order, wins. Masks are bools or boolean arrays
+    that broadcast against `value`.
+    """
+
+    value: Any
+    undefined: Any = False
+    always_satisfied: Any = False
+    never_satisfied: Any = False
+
+    def result(self) -> ThresholdResult:
+        """The scalar reading, with the value as a Python float."""
+        if self.undefined:
+            return ThresholdResult.undefined()
+        if self.always_satisfied:
+            return ThresholdResult.always_satisfied()
+        if self.never_satisfied:
+            return ThresholdResult.never_satisfied()
+        return ThresholdResult.of(float(self.value))
+
+
+def _quotient(numerator, denominator):
+    """numerator / denominator, dividing by 1 where the denominator is 0.
+
+    Each closed form masks those entries with a sentinel, so floats never
+    divide by zero and arrays raise no warning.
+    """
+    return numerator / (denominator + (denominator == 0.0))
+
+
+def _buyer_x_o(mode: SanctionBaseMode, te):
+    """x_o as it enters the buyer's bounds: itself, or 1.0 in CORRECTED mode.
+
+    CORRECTED levies the sanction on the evaded tax x_o*v, so x_o cancels
+    from the buyer's margins; PAPER_LITERAL levies it on no base, and x_o stays.
+    """
+    return te.x_o if mode is SanctionBaseMode.PAPER_LITERAL else 1.0
+
+
+def seller_tax_bound(policy, te) -> Bound:
     """Income-tax rate above which the seller prefers EVADE_LT2 to complying.
 
     t_s* = v*x_i / (x_o - x_i); undefined for a zero-value transaction.
     """
-    if te.x_o == te.x_i:
-        return ThresholdResult.undefined()
-    if te.x_i == 0.0:
-        return ThresholdResult.of(0.0)
-    return ThresholdResult.of(policy.v * te.x_i / (te.x_o - te.x_i))
+    return Bound(
+        _quotient(policy.v * te.x_i, te.x_o - te.x_i), undefined=te.x_o == te.x_i
+    )
 
 
-def vat_rate_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+def vat_rate_bound(policy, te) -> Bound:
     """VAT rate below which EVADE_LT2 beats complying for the seller.
 
     v* = t_s*(x_o - x_i)/x_i; with no input costs the VAT-refund motive
     vanishes and the bound is vacuous (always satisfied).
     """
-    if te.x_i == 0.0:
-        return ThresholdResult.always_satisfied()
-    return ThresholdResult.of(policy.t_s * (te.x_o - te.x_i) / te.x_i)
+    return Bound(
+        _quotient(policy.t_s * (te.x_o - te.x_i), te.x_i), always_satisfied=te.x_i == 0.0
+    )
 
 
-def buyer_theta_threshold(
-    regime: AuditRegime,
-    policy: TaxPolicy,
-    te: TransactionEndowments,
-    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-) -> ThresholdResult:
+def buyer_theta_bound(
+    regime, policy, te, mode: SanctionBaseMode = SanctionBaseMode.CORRECTED
+) -> Bound:
     """Deduction share above which the buyer complies in the deduction scenario.
 
     CORRECTED: theta* = (v*delta - gamma*v*(1+s_v)) / (1 + v*delta). The
@@ -163,21 +204,17 @@ def buyer_theta_threshold(
     gamma=0 and gamma=1 specializations. A negative bound means any
     theta >= 0 already induces buyer compliance.
     """
-    v, delta = policy.v, policy.delta
+    v, delta, x_o = policy.v, policy.delta, _buyer_x_o(mode, te)
     sanction = regime.gamma * v * (1.0 + policy.s_v)
-    if mode is SanctionBaseMode.CORRECTED:
-        return ThresholdResult.of((v * delta - sanction) / (1.0 + v * delta))
-    x_o = te.x_o
-    if x_o == 0.0:
-        return ThresholdResult.undefined()
-    return ThresholdResult.of((x_o * v * delta - sanction) / (x_o * (1.0 + v * delta)))
+    return Bound(
+        _quotient(x_o * v * delta - sanction, x_o * (1.0 + v * delta)),
+        undefined=x_o == 0.0,
+    )
 
 
-def buyer_gamma_threshold(
-    policy: TaxPolicy,
-    te: TransactionEndowments,
-    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-) -> ThresholdResult:
+def buyer_gamma_bound(
+    policy, te, mode: SanctionBaseMode = SanctionBaseMode.CORRECTED
+) -> Bound:
     """Audit probability above which the buyer complies without deductions.
 
     The expected sanction must outweigh the evaded VAT x_o*v. CORRECTED
@@ -186,42 +223,74 @@ def buyer_gamma_threshold(
     at all, neither the evaded tax nor the undeclared x_o (Allingham and
     Sandmo 1972), so gamma* = x_o / (1 + s_v), undefined at x_o = 0.
     """
-    if mode is SanctionBaseMode.CORRECTED:
-        return ThresholdResult.of(1.0 / (1.0 + policy.s_v))
-    x_o = te.x_o
-    if x_o == 0.0:
-        return ThresholdResult.undefined()
-    return ThresholdResult.of(x_o / (1.0 + policy.s_v))
+    x_o = _buyer_x_o(mode, te)
+    return Bound(x_o / (1.0 + policy.s_v), undefined=x_o == 0.0)
 
 
-def seller_gamma_threshold_ewt(
-    policy: TaxPolicy, te: TransactionEndowments
-) -> ThresholdResult:
+def seller_gamma_bound_ewt(policy, te) -> Bound:
     """Audit probability above which the seller drops whole-transaction evasion.
 
-    gamma* = (x_o - x_i) / (x_o*(1 + s_ys)).
+    gamma* = (x_o - x_i) / (x_o*(1 + s_ys)); undefined at x_o = 0.
     """
-    if te.x_o == 0.0:
-        return ThresholdResult.undefined()
-    return ThresholdResult.of((te.x_o - te.x_i) / (te.x_o * (1.0 + policy.s_ys)))
+    return Bound(
+        _quotient(te.x_o - te.x_i, te.x_o * (1.0 + policy.s_ys)), undefined=te.x_o == 0.0
+    )
 
 
-def seller_gamma_threshold_elt2(
-    policy: TaxPolicy, te: TransactionEndowments
-) -> ThresholdResult:
+def seller_gamma_bound_elt2(policy, te) -> Bound:
     """Audit probability above which the seller drops EVADE_LT2.
 
-    gamma* = (t_s*(x_o - x_i) - v*x_i) / (t_s*x_o*(1 + s_ys)). When the
-    numerator is negative that evasion variant never pays and any audit
-    probability deters it; at gamma=0 the condition reduces to the
-    seller_tax_threshold comparison.
+    gamma* = (t_s*(x_o - x_i) - v*x_i) / (t_s*x_o*(1 + s_ys)), undefined at
+    t_s*x_o = 0. When the numerator is negative that evasion variant never
+    pays and any audit probability deters it; at gamma=0 the condition
+    reduces to the seller_tax_threshold comparison.
     """
-    if policy.t_s * te.x_o == 0.0:
-        return ThresholdResult.undefined()
-    gain = policy.t_s * (te.x_o - te.x_i) - policy.v * te.x_i
-    if gain < 0.0:
-        return ThresholdResult.never_satisfied()
-    return ThresholdResult.of(gain / (policy.t_s * te.x_o * (1.0 + policy.s_ys)))
+    t_s, x_o, x_i = policy.t_s, te.x_o, te.x_i
+    gain = t_s * (x_o - x_i) - policy.v * x_i
+    return Bound(
+        _quotient(gain, t_s * x_o * (1.0 + policy.s_ys)),
+        undefined=t_s * x_o == 0.0,
+        never_satisfied=gain < 0.0,
+    )
+
+
+def seller_tax_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+    """`seller_tax_bound` at one parameter set."""
+    return seller_tax_bound(policy, te).result()
+
+
+def vat_rate_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+    """`vat_rate_bound` at one parameter set."""
+    return vat_rate_bound(policy, te).result()
+
+
+def buyer_theta_threshold(
+    regime: AuditRegime,
+    policy: TaxPolicy,
+    te: TransactionEndowments,
+    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
+) -> ThresholdResult:
+    """`buyer_theta_bound` at one parameter set."""
+    return buyer_theta_bound(regime, policy, te, mode).result()
+
+
+def buyer_gamma_threshold(
+    policy: TaxPolicy,
+    te: TransactionEndowments,
+    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
+) -> ThresholdResult:
+    """`buyer_gamma_bound` at one parameter set."""
+    return buyer_gamma_bound(policy, te, mode).result()
+
+
+def seller_gamma_threshold_ewt(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+    """`seller_gamma_bound_ewt` at one parameter set."""
+    return seller_gamma_bound_ewt(policy, te).result()
+
+
+def seller_gamma_threshold_elt2(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
+    """`seller_gamma_bound_elt2` at one parameter set."""
+    return seller_gamma_bound_elt2(policy, te).result()
 
 
 def dominant_events(

@@ -5,9 +5,15 @@ seeded batch of random parameter draws. It works through the batch
 BLOCK_DRAWS draws at a time, each block as arrays, so memory stays bounded
 for any batch size.
 
-Best responses. For each scenario and event, `expected_payoff` runs once,
-with the audit rate gamma in {0, 0.37, 1} as a column and the draws as a
-row. The events within the tie band of an agent's best payoff
+Payoff tables. Per block, `expected_payoff` runs once per scenario and
+canonical event, twelve calls in all, on a stacked view: each field that
+varies is a column with one row per parameter point, against the draws as a
+row. A scenario's rows are the audit rates of the best responses, then the
+points each threshold margin is read at. Both checks read every payoff
+from these tables.
+
+Best responses. The table rows at audit rates gamma in {0, 0.37, 1} price
+each event. The events within the tie band of an agent's best payoff
 (`dominance.tied_for_best`) are the engine's best responses. A rule built
 from the closed forms must name the same tie set. It prices each evasion by
 its expected gain over complying, which gains 0, under the same tie band:
@@ -26,12 +32,17 @@ The rule never calls the engine, so a fault in either side shows.
 
 Thresholds. Every margin the oracle searches is affine in its varied
 parameter: each payoff is linear in each rate, and the audit mixture is
-linear in gamma. One array call evaluates the margin at both ends of the
-range and at its midpoint, for every draw. The root is the zero of the
-secant through the two ends, where the margin changes sign. A midpoint off
-that line by more than the tie band shows a margin that is not affine, and
-is reported. The closed form of `dominance` must match the root within
-the tolerance. `oracle_threshold` is the same search on one draw.
+linear in gamma. A case's margin, first - second as `dominance.compare`
+takes it, is read from its scenario's table at both ends of its range and
+at the midpoint. The audit-rate cases add one row, gamma = 0.5, and share
+the ends gamma = 0 and 1 with the best responses; t_s and v (at gamma = 0)
+and theta (at gamma = 0.37) add three rows each. One secant pass then serves
+every case and draw. The root is the zero of the secant through the two
+ends, where the margin changes sign. A midpoint off that line by more than
+the tie band shows a margin that is not affine, and is reported. The
+closed form of `dominance`, evaluated once per case on the block's arrays,
+must match the root within the tolerance. `oracle_threshold` runs the same
+secant on one draw's `compare` margin.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ import numpy as np
 from . import dominance
 from .dominance import (
     Agent,
-    Sentinel,
+    Bound,
     ThresholdResult,
     agent_payoff,
     compare,
@@ -58,6 +69,7 @@ from .model import (
     CANONICAL_EVENTS,
     AuditRegime,
     Event,
+    PayoffVector,
     SanctionBaseMode,
     Scenario,
     TaxPolicy,
@@ -136,22 +148,20 @@ def _blocks(
         yield (start, *_draw_block(rng, min(BLOCK_DRAWS, count - start)))
 
 
-def _parameter_draws(
-    policy: SimpleNamespace, te: SimpleNamespace, seed: int, start: int
-) -> list[ParameterDraw]:
-    """A block's draws as validated parameter objects, tagged by index."""
-    policies = zip(*(getattr(policy, name).tolist() for name in _POLICY_FIELDS))
-    tes = zip(*(getattr(te, name).tolist() for name in _TE_FIELDS))
-    return [
-        ParameterDraw(TaxPolicy(*p), TransactionEndowments(*t), f"seed{seed}/{start + k}")
-        for k, (p, t) in enumerate(zip(policies, tes))
-    ]
+def _tag(seed: int, index: int) -> str:
+    return f"seed{seed}/{index}"
 
 
 def iter_draws(seed: int, count: int) -> Iterator[ParameterDraw]:
-    """Deterministic draw sequence: same seed, same draws, any parallelism."""
+    """Deterministic draw sequence: same seed, same draws, any parallelism.
+
+    Each draw is a validated parameter object, tagged by its index.
+    """
     for start, policy, te in _blocks(seed, count):
-        yield from _parameter_draws(policy, te, seed, start)
+        policies = zip(*(getattr(policy, name).tolist() for name in _POLICY_FIELDS))
+        tes = zip(*(getattr(te, name).tolist() for name in _TE_FIELDS))
+        for k, (p, t) in enumerate(zip(policies, tes)):
+            yield ParameterDraw(TaxPolicy(*p), TransactionEndowments(*t), _tag(seed, start + k))
 
 
 def oracle_best_response(
@@ -227,17 +237,16 @@ class _Roots(NamedTuple):
     defect: np.ndarray  # distance of the midpoint from the secant
 
 
-def _affine_roots(margin: Margin, lo: float, hi: float) -> _Roots:
-    """Where a margin affine in its parameter changes sign on [lo, hi].
+def _affine_roots(margins, lo, hi) -> _Roots:
+    """Where margins affine in their parameter change sign on [lo, hi].
 
-    One call evaluates the margin at lo, the midpoint and hi, for every
-    draw. The root is the secant's zero where the margin changes sign
-    strictly, and lo where it is zero at both ends. Elsewhere the margin
-    keeps one sign over the range, a zero at one end included.
+    `margins` holds the values at lo, the midpoint and hi along its first
+    axis; `lo` and `hi` broadcast against each of the three. The root is the
+    secant's zero where the margin changes sign strictly, and lo where it is
+    zero at both ends. Elsewhere the margin keeps one sign over the range, a
+    zero at one end included.
     """
-    xs = np.array([[lo], [0.5 * (lo + hi)], [hi]])
-    m = np.asarray(margin(xs), dtype=float)
-    m_lo, m_mid, m_hi = np.broadcast_to(m, np.broadcast_shapes(m.shape, (3, 1)))
+    m_lo, m_mid, m_hi = margins
     s_lo, s_hi = np.sign(m_lo), np.sign(m_hi)
     crossing = s_lo * s_hi < 0
     sign = np.where(crossing, 0.0, s_lo + s_hi)
@@ -279,7 +288,9 @@ def oracle_threshold(
     for x in (lo, hi):
         dataclasses.replace(inputs[owner], **{varied_parameter: x})
     margin = _margin_fn(varied_parameter, comparison, draw.policy, draw.te, mode)
-    (value,), (sign,), (defect,) = _affine_roots(margin, lo, hi)
+    m = np.asarray(margin(np.array([[lo], [0.5 * (lo + hi)], [hi]])), dtype=float)
+    m = np.broadcast_to(m, np.broadcast_shapes(m.shape, (3, 1)))
+    (value,), (sign,), (defect,) = _affine_roots(m, lo, hi)
     if defect > tie_band(draw.te):
         raise NonMonotoneError(
             f"margin in {varied_parameter!r} for {comparison} is not affine on "
@@ -324,43 +335,46 @@ _BEST_RESPONSE_CASES = len(_SCENARIOS) * len(_GAMMAS) * len(Agent)
 class _ThresholdCase(NamedTuple):
     """A closed-form threshold and the margin whose root it must be.
 
-    `applies` skips draws where the margin is identically zero and the
-    closed form vacuous. The closed form takes the draw and the sanction
-    base mode.
+    `closed_form` gives the `dominance.Bound` of a block's policy and te
+    views in a sanction base mode. `applies` masks out the draws where the
+    margin is identically zero and the closed form vacuous.
     """
 
     name: str
     varied: str
     comparison: Comparison
-    closed_form: Callable[[ParameterDraw, SanctionBaseMode], ThresholdResult]
+    closed_form: Callable[[SimpleNamespace, SimpleNamespace, SanctionBaseMode], Bound]
     lo: float
     hi: float
-    applies: Callable[[ParameterDraw], bool]
+    applies: Callable[[SimpleNamespace, SimpleNamespace], np.ndarray]
 
 
 _SELLER_COMPLY_VS_LT2 = Comparison(
     Agent.SELLER, Event.COMPLY, Event.EVADE_LT2, Scenario.TAX, AuditRegime(0.0)
 )
+#: Audit rate of the deduction-share case.
+_THETA_REGIME = AuditRegime(0.37)
 
-#: Closed-form thresholds checked against the oracle's root search.
+#: Closed-form thresholds checked against the oracle's root search. The
+#: closed forms are looked up when called, so a test can replace one.
 _THRESHOLD_CASES = (
     _ThresholdCase(
         "seller_tax_threshold",
         "t_s",
         _SELLER_COMPLY_VS_LT2,
-        lambda d, mode: dominance.seller_tax_threshold(d.policy, d.te),
+        lambda policy, te, mode: dominance.seller_tax_bound(policy, te),
         0.0,
         0.999,
-        lambda d: d.te.x_o != d.te.x_i,
+        lambda policy, te: te.x_o != te.x_i,
     ),
     _ThresholdCase(
         "vat_rate_threshold",
         "v",
         _SELLER_COMPLY_VS_LT2,
-        lambda d, mode: dominance.vat_rate_threshold(d.policy, d.te),
+        lambda policy, te, mode: dominance.vat_rate_bound(policy, te),
         0.0,
         0.999,
-        lambda d: d.te.x_i > 0.0,
+        lambda policy, te: te.x_i > 0.0,
     ),
     _ThresholdCase(
         "buyer_theta_threshold",
@@ -370,50 +384,113 @@ _THRESHOLD_CASES = (
             Event.COMPLY,
             Event.EVADE_LT1,
             Scenario.TAX_WITH_DEDUCTIONS,
-            AuditRegime(0.37),
+            _THETA_REGIME,
         ),
-        lambda d, mode: dominance.buyer_theta_threshold(
-            AuditRegime(0.37), d.policy, d.te, mode
-        ),
+        lambda policy, te, mode: dominance.buyer_theta_bound(_THETA_REGIME, policy, te, mode),
         0.0,
         1.0,
-        lambda d: d.te.x_o > 0.0,
+        lambda policy, te: te.x_o > 0.0,
     ),
     _ThresholdCase(
         "buyer_gamma_threshold",
         "gamma",
         Comparison(Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
-        lambda d, mode: dominance.buyer_gamma_threshold(d.policy, d.te, mode),
+        lambda policy, te, mode: dominance.buyer_gamma_bound(policy, te, mode),
         0.0,
         1.0,
-        lambda d: d.policy.v > 0.0 and d.te.x_o > 0.0,
+        lambda policy, te: (policy.v > 0.0) & (te.x_o > 0.0),
     ),
     _ThresholdCase(
         "seller_gamma_threshold_ewt",
         "gamma",
         Comparison(Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
-        lambda d, mode: dominance.seller_gamma_threshold_ewt(d.policy, d.te),
+        lambda policy, te, mode: dominance.seller_gamma_bound_ewt(policy, te),
         0.0,
         1.0,
-        lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
+        lambda policy, te: (policy.t_s > 0.0) & (te.x_o > 0.0),
     ),
     _ThresholdCase(
         "seller_gamma_threshold_elt2",
         "gamma",
         _SELLER_COMPLY_VS_LT2,
-        lambda d, mode: dominance.seller_gamma_threshold_elt2(d.policy, d.te),
+        lambda policy, te, mode: dominance.seller_gamma_bound_elt2(policy, te),
         0.0,
         1.0,
-        lambda d: d.policy.t_s > 0.0 and d.te.x_o > 0.0,
+        lambda policy, te: (policy.t_s > 0.0) & (te.x_o > 0.0),
     ),
 )
+_CASE_LO = np.array([[case.lo] for case in _THRESHOLD_CASES])
+_CASE_HI = np.array([[case.hi] for case in _THRESHOLD_CASES])
+
+
+class _Layout(NamedTuple):
+    """The rows of one scenario's payoff table, as columns of parameter values."""
+
+    gamma: np.ndarray  # the audit rate of every row
+    policy: dict[str, tuple[np.ndarray, np.ndarray]]  # field -> (rows that set it, value)
+
+
+def _layouts() -> tuple[dict[Scenario, _Layout], list[list[int]]]:
+    """Each scenario's table layout, and each threshold case's rows in it.
+
+    A row is a parameter point: an audit rate and at most one policy field.
+    The first rows are the best responses' audit rates. A case adds the
+    points at lo, the midpoint and hi of its range, at its comparison's audit
+    rate, and shares a row that sets the same values.
+    """
+    rows = {scenario: [{"gamma": gamma} for gamma in _GAMMAS] for scenario in _SCENARIOS}
+    case_rows = []
+    for case in _THRESHOLD_CASES:
+        table = rows[case.comparison.scenario]
+        case_rows.append([])
+        for x in (case.lo, 0.5 * (case.lo + case.hi), case.hi):
+            point = {"gamma": case.comparison.regime.gamma, case.varied: x}
+            if point not in table:
+                table.append(point)
+            case_rows[-1].append(table.index(point))
+
+    def column(values) -> np.ndarray:
+        return np.array(values).reshape(-1, 1)
+
+    layouts = {
+        scenario: _Layout(
+            column([point["gamma"] for point in table]),
+            {
+                name: (
+                    column([name in point for point in table]),
+                    column([point.get(name, 0.0) for point in table]),
+                )
+                for name in _POLICY_FIELDS
+                if any(name in point for point in table)
+            },
+        )
+        for scenario, table in rows.items()
+    }
+    return layouts, case_rows
+
+
+_LAYOUTS, _CASE_ROWS = _layouts()
+
+
+def _payoff_table(scenario, policy, te, mode) -> dict[Event, PayoffVector]:
+    """Each canonical event's expected payoffs, indexed [table row, draw]."""
+    layout = _LAYOUTS[scenario]
+    fields = dict(vars(policy))
+    for name, (rows, x) in layout.policy.items():
+        fields[name] = np.where(rows, x, fields[name])
+    regime, rows_policy = SimpleNamespace(gamma=layout.gamma), SimpleNamespace(**fields)
+    return {
+        event: expected_payoff(scenario, regime, event, rows_policy, te, mode)
+        for event in CANONICAL_EVENTS
+    }
 
 
 def _rule_gains(agent, scenario, gamma, policy, te, mode) -> list:
     """Each canonical event's expected gain over complying, by the closed forms.
 
     See the module docstring. Fields of `policy` and `te` and `gamma` may be
-    arrays that broadcast against each other.
+    arrays that broadcast against each other; every gain then takes the
+    shape they broadcast to.
     """
     zero = np.zeros(np.broadcast_shapes(np.shape(gamma), np.shape(te.x_o)))
     if scenario is Scenario.NO_TAXES:
@@ -440,94 +517,114 @@ def _events(tied) -> list[str]:
     return [e.value for e, t in zip(CANONICAL_EVENTS, tied) if t]
 
 
-def _check_best_responses(policy, te, band, draws, mode) -> list[tuple[int, int, str]]:
+#: A check's failure: (draw in the block, check rank, kind, detail). The
+#: message is "kind [tag] detail".
+_Failure = tuple[int, int, str, str]
+
+
+def _check_best_responses(tables, policy, te, band, mode) -> list[_Failure]:
     """The engine's argmax against the closed-form rule, 18 cases per draw.
 
-    Returns (draw in the block, check rank, message) per mismatch.
+    Both sides decide every (scenario, agent) pair in one `tied_for_best`,
+    on payoffs indexed [event, pair, audit rate, draw].
     """
     gammas = np.array(_GAMMAS).reshape(-1, 1)
-    regime = SimpleNamespace(gamma=gammas)
-    failures = []
-    for s, scenario in enumerate(_SCENARIOS):
-        payoffs = [
-            expected_payoff(scenario, regime, event, policy, te, mode)
+    rows = len(_GAMMAS)
+    pairs = [(scenario, agent) for scenario in _SCENARIOS for agent in Agent]
+    engine = tied_for_best(
+        [
+            [agent_payoff(agent, tables[scenario][event])[:rows] for scenario, agent in pairs]
             for event in CANONICAL_EVENTS
-        ]
-        for a, agent in enumerate(Agent):
-            engine = tied_for_best(
-                np.broadcast_arrays(*(agent_payoff(agent, pv) for pv in payoffs)), band
+        ],
+        band,
+    )
+    gains = [_rule_gains(agent, scenario, gammas, policy, te, mode) for scenario, agent in pairs]
+    rule = tied_for_best(list(zip(*gains)), band)
+    failures = []
+    for p, g, k in zip(*np.nonzero((engine != rule).any(axis=0))):
+        (scenario, agent), (s, a) = pairs[p], divmod(p, len(Agent))
+        failures.append(
+            (
+                k,
+                (s * rows + g) * len(Agent) + a,
+                "best-response mismatch",
+                f"{agent.value} {scenario.value} gamma={_GAMMAS[g]}: analytic="
+                f"{_events(rule[:, p, g, k])} oracle={_events(engine[:, p, g, k])}",
             )
-            rule = tied_for_best(
-                np.broadcast_arrays(*_rule_gains(agent, scenario, gammas, policy, te, mode)),
-                band,
-            )
-            for g, k in zip(*np.nonzero((engine != rule).any(axis=0))):
-                failures.append(
-                    (
-                        k,
-                        (s * len(_GAMMAS) + g) * len(Agent) + a,
-                        f"best-response mismatch [{draws[k].tag}] {agent.value} "
-                        f"{scenario.value} gamma={_GAMMAS[g]}: analytic="
-                        f"{_events(rule[:, g, k])} oracle={_events(engine[:, g, k])}",
-                    )
-                )
+        )
     return failures
 
 
-def _check_thresholds(policy, te, band, draws, mode, report) -> list[tuple[int, int, str]]:
+def _case_margins(tables) -> np.ndarray:
+    """Each case's margin first - second at lo, the midpoint and hi.
+
+    Indexed [end, case, draw]; the arithmetic of `dominance.compare`.
+    """
+    margins = []
+    for case, rows in zip(_THRESHOLD_CASES, _CASE_ROWS):
+        c = case.comparison
+        payoffs = tables[c.scenario]
+        margins.append(
+            agent_payoff(c.agent, payoffs[c.first])[rows]
+            - agent_payoff(c.agent, payoffs[c.second])[rows]
+        )
+    return np.stack(margins, axis=1)
+
+
+def _analytic(policy, te, mode) -> np.ndarray:
+    """Each case's closed form on every draw, indexed [case, draw].
+
+    NaN where the case does not apply, a sentinel replaces the value, or the
+    value lies outside the case's range.
+    """
+    values = []
+    for case in _THRESHOLD_CASES:
+        bound = case.closed_form(policy, te, mode)
+        valued = case.applies(policy, te) & np.logical_not(
+            bound.undefined | bound.always_satisfied | bound.never_satisfied
+        )
+        in_range = (bound.value >= case.lo) & (bound.value <= case.hi)
+        values.append(np.where(valued & in_range, bound.value, np.nan))
+    return np.stack(values)
+
+
+def _check_thresholds(tables, policy, te, band, mode, report) -> list[_Failure]:
     """Each closed form against the affine root of its margin, on every draw.
 
-    Adds the checks and the largest deviation to `report`; returns
-    (draw in the block, check rank, message) per failure.
+    Adds the checks and the largest deviation to `report`.
     """
-    failures = []
-    for rank, case in enumerate(_THRESHOLD_CASES, start=_BEST_RESPONSE_CASES):
-        lo, hi = case.lo, case.hi
-        analytic = np.full(len(draws), np.nan)
-        for k, draw in enumerate(draws):
-            if case.applies(draw):
-                result = case.closed_form(draw, mode)
-                if result.sentinel is Sentinel.VALUE and lo <= result.value <= hi:
-                    analytic[k] = result.value
-        checked = ~np.isnan(analytic)
-        if not checked.any():
-            continue
-        roots = _affine_roots(
-            _margin_fn(case.varied, case.comparison, policy, te, mode), lo, hi
+    lo, hi = _CASE_LO, _CASE_HI
+    analytic = _analytic(policy, te, mode)
+    checked = ~np.isnan(analytic)
+    roots = _affine_roots(_case_margins(tables), lo, hi)
+    affine = roots.defect <= band
+    counted = checked & affine
+    report.threshold_checks += int(np.count_nonzero(counted))
+    at_root = counted & (roots.sign == 0.0)
+    deviation = np.abs(roots.value - analytic)
+    if at_root.any():
+        report.max_threshold_deviation = max(
+            report.max_threshold_deviation, float(deviation[at_root].max())
         )
-        affine = roots.defect <= band
-        counted = checked & affine
-        report.threshold_checks += int(np.count_nonzero(counted))
-        at_root = counted & (roots.sign == 0.0)
-        deviation = np.abs(roots.value - analytic)
-        if at_root.any():
-            report.max_threshold_deviation = max(
-                report.max_threshold_deviation, float(deviation[at_root].max())
-            )
-        # No crossing: accept a closed form at the edge of the range, where
-        # the margin is flat near zero gain; report any other.
-        inside = np.minimum(analytic - lo, hi - analytic) > THRESHOLD_ATOL
-        sentinel = counted & (roots.sign != 0.0) & inside
-        missed = at_root & (deviation > THRESHOLD_ATOL)
-        for k in np.flatnonzero((checked & ~affine) | sentinel | missed):
-            where = f"[{draws[k].tag}] {case.name}:"
-            if not affine[k]:
-                message = (
-                    f"non-affine margin {where} the midpoint is "
-                    f"{roots.defect[k]:.3e} off the secant"
-                )
-            elif sentinel[k]:
-                oracle = _threshold_result(roots.value[k], roots.sign[k]).sentinel.value
-                message = (
-                    f"threshold sentinel mismatch {where} "
-                    f"analytic={float(analytic[k])} oracle={oracle}"
-                )
-            else:
-                message = (
-                    f"threshold mismatch {where} "
-                    f"analytic={float(analytic[k])} oracle={float(roots.value[k])}"
-                )
-            failures.append((k, rank, message))
+    # No crossing: accept a closed form at the edge of the range, where
+    # the margin is flat near zero gain; report any other.
+    inside = np.minimum(analytic - lo, hi - analytic) > THRESHOLD_ATOL
+    sentinel = counted & (roots.sign != 0.0) & inside
+    missed = at_root & (deviation > THRESHOLD_ATOL)
+    failures = []
+    for c, k in zip(*np.nonzero((checked & ~affine) | sentinel | missed)):
+        if not affine[c, k]:
+            kind = "non-affine margin"
+            detail = f"the midpoint is {roots.defect[c, k]:.3e} off the secant"
+        elif sentinel[c, k]:
+            kind = "threshold sentinel mismatch"
+            oracle = _threshold_result(roots.value[c, k], roots.sign[c, k]).sentinel.value
+            detail = f"analytic={float(analytic[c, k])} oracle={oracle}"
+        else:
+            kind = "threshold mismatch"
+            detail = f"analytic={float(analytic[c, k])} oracle={float(roots.value[c, k])}"
+        name = _THRESHOLD_CASES[c].name
+        failures.append((k, _BEST_RESPONSE_CASES + c, kind, f"{name}: {detail}"))
     return failures
 
 
@@ -544,11 +641,14 @@ def validate(
     report = ValidationReport(seed=seed, draws=draws)
     found = []  # (draw, check rank, message)
     for start, policy, te in _blocks(seed, draws):
-        block = _parameter_draws(policy, te, seed, start)
         band = tie_band(te)
-        failures = _check_best_responses(policy, te, band, block, mode)
-        report.best_response_checks += _BEST_RESPONSE_CASES * len(block)
-        failures += _check_thresholds(policy, te, band, block, mode, report)
-        found += [(start + int(k), rank, message) for k, rank, message in failures]
+        tables = {scenario: _payoff_table(scenario, policy, te, mode) for scenario in _SCENARIOS}
+        failures = _check_best_responses(tables, policy, te, band, mode)
+        report.best_response_checks += _BEST_RESPONSE_CASES * len(te.x_o)
+        failures += _check_thresholds(tables, policy, te, band, mode, report)
+        found += [
+            (start + int(k), rank, f"{kind} [{_tag(seed, start + int(k))}] {detail}")
+            for k, rank, kind, detail in failures
+        ]
     report.failures = [message for _, _, message in sorted(found)]
     return report

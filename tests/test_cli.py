@@ -357,6 +357,25 @@ class TestAppendixCommand:
         assert code == 2
         assert "MISMATCH" in err
 
+    def test_starts_without_numpy(self):
+        # only validate and region need arrays; numpy is most of a cold start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from vat_game import cli\n"
+            "cli.main(['appendix'])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False"
+
 
 class TestValidateCommand:
     def test_single_draw(self, capsys):

@@ -1,10 +1,11 @@
 import dataclasses
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vat_game import dominance
+from vat_game import dominance, oracle
 from vat_game.coalition import (
     COALITION_EVENTS,
     coalition_best_event,
@@ -261,6 +262,75 @@ class TestBuyerThresholdsByMode:
         assert buyer_theta_threshold(NO_AUDIT, self.POLICY, empty, literal).sentinel is (
             Sentinel.UNDEFINED
         )
+
+
+def edged_block():
+    """A block of random draws followed by draws that hit every sentinel.
+
+    The edges: no input costs, a zero-value transaction, x_o = 0 and t_s = 0.
+    """
+    (_, policy, te), = oracle._blocks(seed=14, count=2000)
+    edges = [
+        ({}, {"x_i": 0.0}),
+        ({}, {"x_o": 50.0, "x_i": 50.0}),
+        ({}, {"x_o": 0.0, "x_i": 0.0}),
+        ({"t_s": 0.0}, {}),
+    ]
+
+    def extend(view, k):
+        return SimpleNamespace(
+            **{
+                name: np.append(values, [edge[k].get(name, values[0]) for edge in edges])
+                for name, values in vars(view).items()
+            }
+        )
+
+    return extend(policy, 0), extend(te, 1)
+
+
+class TestArrayBounds:
+    """Each closed form on arrays of draws equals its scalar reader per draw."""
+
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_array_bound_equals_scalar_reader(self, mode):
+        policy, te = edged_block()
+        n = len(te.x_o)
+        draws = [
+            (
+                TaxPolicy(**{k: float(v[i]) for k, v in vars(policy).items()}),
+                TransactionEndowments(**{k: float(v[i]) for k, v in vars(te).items()}),
+            )
+            for i in range(n)
+        ]
+        # (closed form, its scalar reader), each on (policy, te)
+        cases = [
+            (dominance.seller_tax_bound, seller_tax_threshold),
+            (dominance.vat_rate_bound, vat_rate_threshold),
+            (
+                partial(dominance.buyer_gamma_bound, mode=mode),
+                partial(buyer_gamma_threshold, mode=mode),
+            ),
+            (dominance.seller_gamma_bound_ewt, seller_gamma_threshold_ewt),
+            (dominance.seller_gamma_bound_elt2, seller_gamma_threshold_elt2),
+        ] + [
+            (
+                partial(dominance.buyer_theta_bound, regime, mode=mode),
+                partial(buyer_theta_threshold, regime, mode=mode),
+            )
+            for regime in (NO_AUDIT, AuditRegime(0.37), CERTAIN)
+        ]
+        sentinels = set()
+        for bound, reader in cases:
+            fields = [np.broadcast_to(f, (n,)) for f in bound(policy, te)]
+            for i, (p, t) in enumerate(draws):
+                want = reader(p, t)
+                got = dominance.Bound(*(f[i] for f in fields)).result()
+                assert got.sentinel is want.sentinel, (i, want)
+                if want.sentinel is Sentinel.VALUE:
+                    assert got.value.hex() == want.value.hex(), (i, want)
+                    assert type(want.value) is float
+                sentinels.add(want.sentinel)
+        assert sentinels == set(Sentinel)
 
 
 class TestDominantEvents:

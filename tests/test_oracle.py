@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,14 +53,29 @@ def rule_best_response(agent, scenario, regime, draw, mode):
 
 
 def shift_buyer_gamma_threshold(monkeypatch, shift):
-    """Move every value of `dominance.buyer_gamma_threshold` by `shift`."""
-    closed_form = dominance.buyer_gamma_threshold
+    """Move every value of `dominance.buyer_gamma_bound` by `shift`.
+
+    `validate` reads the bound on its arrays, and `buyer_gamma_threshold`
+    reads it on one draw, so both see the shift.
+    """
+    closed_form = dominance.buyer_gamma_bound
 
     def shifted(policy, te, mode=CORRECTED):
-        result = closed_form(policy, te, mode)
-        return dominance.ThresholdResult.of(result.value + shift)
+        bound = closed_form(policy, te, mode)
+        return bound._replace(value=bound.value + shift)
 
-    monkeypatch.setattr(dominance, "buyer_gamma_threshold", shifted)
+    monkeypatch.setattr(dominance, "buyer_gamma_bound", shifted)
+
+
+def report_digest(report):
+    """sha256 of what a validate report finds, its failures' text and order included."""
+    found = (
+        report.best_response_checks,
+        report.threshold_checks,
+        report.max_threshold_deviation.hex(),
+        report.failures,
+    )
+    return hashlib.sha256(repr(found).encode()).hexdigest()
 
 
 class TestDraws:
@@ -288,6 +304,29 @@ class TestMargin:
                 one = oracle._margin_fn(case.varied, case.comparison, draw.policy, draw.te, mode)
                 assert block[:, k].tolist() == [one(float(x)) for x in xs[:, 0]], case.name
 
+    @pytest.mark.parametrize("mode", list(SanctionBaseMode))
+    def test_table_margins_equal_compare(self, mode):
+        # each case's rows of the stacked payoff tables against `compare` on
+        # one draw at the same parameter point, bit for bit
+        (_, policy, te), = oracle._blocks(seed=6, count=25)
+        tables = {s: oracle._payoff_table(s, policy, te, mode) for s in oracle._SCENARIOS}
+        margins = oracle._case_margins(tables)
+        draws = list(oracle.iter_draws(seed=6, count=25))
+        for c, case in enumerate(oracle._THRESHOLD_CASES):
+            comparison = case.comparison
+            head = (comparison.agent, comparison.first, comparison.second, comparison.scenario)
+            for end, x in enumerate((case.lo, 0.5 * (case.lo + case.hi), case.hi)):
+                for k, draw in enumerate(draws):
+                    if case.varied == "gamma":
+                        at = (AuditRegime(x), draw.policy)
+                    else:
+                        at = (
+                            comparison.regime,
+                            dataclasses.replace(draw.policy, **{case.varied: x}),
+                        )
+                    want = dominance.compare(*head, *at, draw.te, mode)
+                    assert margins[end, c, k].hex() == want.hex(), (case.name, end, k)
+
     def test_range_validated_at_its_ends(self):
         draw = next(oracle.iter_draws(seed=1, count=1))
         comparison = oracle.Comparison(
@@ -344,9 +383,7 @@ class TestValidate:
             if dominance.seller_tax_threshold(draw.policy, draw.te).value > 0.999
         }
         monkeypatch.setattr(
-            dominance,
-            "seller_tax_threshold",
-            lambda policy, te: dominance.ThresholdResult.of(0.5),
+            dominance, "seller_tax_bound", lambda policy, te: dominance.Bound(0.5)
         )
         report = oracle.validate(seed=12, draws=40)
         sentinels = {
@@ -358,17 +395,54 @@ class TestValidate:
         assert all(" seller_tax_threshold: analytic=0.5 " in m for m in report.failures)
 
     def test_non_affine_margin_is_reported(self, monkeypatch):
-        margin_fn = oracle._margin_fn
-
-        def curved(*args):
-            margin = margin_fn(*args)
-            return lambda x: margin(x) + x**2
-
-        monkeypatch.setattr(oracle, "_margin_fn", curved)
+        # every case's margin plus the square of its parameter, at lo, the
+        # midpoint and hi: [end, case, draw] as `_case_margins` gives them
+        case_margins = oracle._case_margins
+        xs = np.array(
+            [[c.lo, 0.5 * (c.lo + c.hi), c.hi] for c in oracle._THRESHOLD_CASES]
+        ).T[:, :, None]
+        monkeypatch.setattr(
+            oracle, "_case_margins", lambda tables: case_margins(tables) + xs**2
+        )
         report = oracle.validate(seed=13, draws=10)
         assert report.threshold_checks == 0
         assert report.failures
         assert all(m.startswith("non-affine margin [seed13/") for m in report.failures)
+
+    @pytest.mark.parametrize(
+        "seed, mode, digest",
+        [
+            (1, "corrected", "6948ca219f71f5b65355f17990e5193bcb1e59ab627ecd6000120815055c1af3"),
+            (1, "paper-literal", "a0e63d63dc96abaf7bdb80c719b6af23cd9a2b5a537b26f0083610c5b84706f9"),
+            (42, "corrected", "48787e8d1b2392b94b5d88f055f1e1eb00405434ee3a7d01673cf95362cd61b8"),
+            (42, "paper-literal", "26b7a5256fc986c133220ef719c0ba1d847e6fe3beb9ae29c2257a5f4f80ee96"),
+            (189, "corrected", "a1201e30f90dde396f46ee82d4d3e2312e036cfe70aba3639a4f960f57c537e0"),
+            (189, "paper-literal", "6efe381922fd7aaa2caed4bf761c034449a5590f6eeeb55095272efe2f405c6d"),
+            (300, "corrected", "19e4318e634b2c08bc16e095b0d3324a3e756186d437383c2593b706540a8c8f"),
+            (300, "paper-literal", "b606c2de58e8e2c536c29685723f0eccbb1d09738a2ec14649e95a8a9efe847a"),
+        ],
+    )
+    def test_report_is_pinned(self, seed, mode, digest):
+        # Recorded with scalar closed forms per draw and one margin call per
+        # case, so any other way of evaluating them must keep the reports bit
+        # for bit. Seed 189 holds a root 9.44e-7 off its closed form (draw
+        # 4600, seller_gamma_threshold_ewt): drift in the root arithmetic shows.
+        report = oracle.validate(seed=seed, draws=10_000, mode=SanctionBaseMode(mode))
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize(
+        "mode, failures, digest",
+        [
+            ("corrected", 60, "a64ac58f5765b5f0262e9be71c99b20fe4c69801009cde658c65896fbc07440f"),
+            ("paper-literal", 0, "ba8bedc2cd39a81b26248692ef7d38030b3fed1d732e716bfd85e7df7e89117a"),
+        ],
+    )
+    def test_failure_report_is_pinned(self, monkeypatch, mode, failures, digest):
+        # the failures' text and order, pinned as in test_report_is_pinned
+        shift_buyer_gamma_threshold(monkeypatch, 1e-5)
+        report = oracle.validate(seed=8, draws=60, mode=SanctionBaseMode(mode))
+        assert len(report.failures) == failures
+        assert report_digest(report) == digest
 
     def test_block_size_does_not_change_the_report(self, monkeypatch):
         # the shifted closed form gives failures, whose order must hold too
