@@ -20,6 +20,14 @@ class ConfigError(ValueError):
     """Invalid, incomplete or unknown configuration input."""
 
 
+#: Largest admissible (x_o + x_i + y_s + y_b) * (2 + s_v + s_ys). No payoff
+#: stream of the engine exceeds it in magnitude: the audited evader pays
+#: x_o*(1 + v*(1 + s_v)) or x_o*(1 + t_s*(1 + s_ys)) on top of an income
+#: share. A coalition margin, two sums of up to three streams subtracted,
+#: then stays below 6e307, under the largest double (1.8e308).
+MAX_PAYOFF_SCALE = 1e307
+
+
 #: Parameter presets. "appendix" is the worked spreadsheet example;
 #: "section6" the coalition-frontier example (incomes are immaterial for
 #: the frontiers and fixed at round values).
@@ -111,4 +119,10 @@ def build_parameters(
         te = TransactionEndowments(**{k: merged[k] for k in ENDOWMENT_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    scale = (te.x_o + te.x_i + te.y_s + te.y_b) * (2.0 + policy.s_v + policy.s_ys)
+    if scale > MAX_PAYOFF_SCALE:
+        raise ConfigError(
+            f"payoffs could overflow: (x_o + x_i + y_s + y_b) * (2 + s_v + s_ys) = "
+            f"{scale:.3g} exceeds {MAX_PAYOFF_SCALE:.0e}"
+        )
     return policy, te

@@ -68,6 +68,20 @@ class SanctionBaseMode(Enum):
     PAPER_LITERAL = "paper-literal"
 
 
+# The engine tests these members on every call. On CPython 3.10 and 3.11
+# `Scenario.TAX` in a function body goes through EnumType.__getattr__ (about
+# 120 ns); a module global costs under 10 ns.
+_NO_TAXES = Scenario.NO_TAXES
+_TAX = Scenario.TAX
+_TAX_WITH_DEDUCTIONS = Scenario.TAX_WITH_DEDUCTIONS
+_COMPLY = Event.COMPLY
+_EVADE_LT1 = Event.EVADE_LT1
+_EVADE_LT2 = Event.EVADE_LT2
+_EVADE_WT = Event.EVADE_WT
+_LT_APPENDIX = Event.EVADE_LT_APPENDIX
+_PAPER_LITERAL = SanctionBaseMode.PAPER_LITERAL
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise NonFiniteInputError(f"{name} must be finite, got {value!r}")
@@ -166,14 +180,6 @@ class GovernmentRevenue(NamedTuple):
     vat: float
 
 
-def _check_event_defined(scenario: Scenario, audited: bool, event: Event) -> None:
-    if event is Event.EVADE_LT_APPENDIX and (scenario is not Scenario.TAX or audited):
-        raise UndefinedEventError(
-            "the appendix last-transaction variant is only defined for the "
-            "plain tax scenario without audit"
-        )
-
-
 def cell_streams(
     scenario: Scenario,
     audited: bool,
@@ -190,20 +196,24 @@ def cell_streams(
     `policy` and `te` may be ndarrays: only arithmetic and `is` tests touch
     them.
     """
-    _check_event_defined(scenario, audited, event)
+    if event is _LT_APPENDIX and (scenario is not _TAX or audited):
+        raise UndefinedEventError(
+            "the appendix last-transaction variant is only defined for the "
+            "plain tax scenario without audit"
+        )
     x_o, x_i, y_s, y_b = te.x_o, te.x_i, te.y_s, te.y_b
 
-    if scenario is Scenario.NO_TAXES:
+    if scenario is _NO_TAXES:
         plain = (y_b - x_o, y_s + x_o - x_i, 0.0, 0.0, 0.0)
         return plain, plain if audited else None
 
     t_s, t_b, v = policy.t_s, policy.t_b, policy.v
     itb = t_b * y_b
 
-    if event is Event.COMPLY:
+    if event is _COMPLY:
         seller = (1.0 - t_s) * (y_s + x_o - x_i)
         ires = t_s * (y_s + x_o - x_i)
-        if scenario is Scenario.TAX_WITH_DEDUCTIONS:
+        if scenario is _TAX_WITH_DEDUCTIONS:
             dv = policy.delta * v
             buyer = (1.0 - t_b) * y_b - (1.0 - policy.theta) * x_o * (1.0 + dv)
             plain = (buyer, seller, ires, itb - policy.theta * x_o * (1.0 + dv), x_o * dv)
@@ -214,13 +224,13 @@ def cell_streams(
     # Evasion events are identical in the plain-tax and deduction scenarios.
     # The seller invoices nothing, so the buyer pays x_o flat.
     buyer = (1.0 - t_b) * y_b - x_o
-    if event is Event.EVADE_LT1:
+    if event is _EVADE_LT1:
         seller = (1.0 - t_s) * (y_s - x_i * (1.0 + v)) + x_o
         ires, vat = t_s * (y_s - x_i * (1.0 + v)), v * x_i
-    elif event is Event.EVADE_LT2:
+    elif event is _EVADE_LT2:
         seller = (1.0 - t_s) * y_s - x_i * (1.0 + v) + x_o
         ires, vat = t_s * y_s, v * x_i
-    elif event is Event.EVADE_WT:
+    elif event is _EVADE_WT:
         seller = (1.0 - t_s) * y_s + x_o - x_i
         ires, vat = t_s * y_s, 0.0
     else:  # EVADE_LT_APPENDIX
@@ -244,7 +254,8 @@ def government_revenue(
     """Government revenue streams for one cell of the game."""
     plain, sanctioned = cell_streams(scenario, audited, event, policy, te)
     _, _, ires, itb, vat = sanctioned or plain
-    return GovernmentRevenue(ires, itb, vat)
+    # As namedtuple's own _make does: the __new__ it generates costs twice this.
+    return tuple.__new__(GovernmentRevenue, (ires, itb, vat))
 
 
 def payoff_event(
@@ -263,7 +274,7 @@ def payoff_event(
     """
     plain, sanctioned = cell_streams(scenario, audited, event, policy, te)
     buyer, seller, ires, itb, vat = sanctioned or plain
-    return PayoffVector(buyer, seller, ires + itb + vat)
+    return tuple.__new__(PayoffVector, (buyer, seller, ires + itb + vat))
 
 
 def expected_payoff(
@@ -290,18 +301,17 @@ def expected_payoff(
         cell_streams(scenario, True, event, policy, te)
     )
     w = 1.0 - gamma
-    if (
-        mode is SanctionBaseMode.PAPER_LITERAL
-        and scenario is not Scenario.NO_TAXES
-        and event is not Event.COMPLY
-    ):
+    if mode is _PAPER_LITERAL and scenario is not _NO_TAXES and event is not _COMPLY:
         buyer = buyer - gamma * policy.v * (1.0 + policy.s_v)
     else:
         buyer = w * buyer + gamma * a_buyer
-    return PayoffVector(
-        buyer,
-        w * seller + gamma * a_seller,
-        w * (ires + itb + vat) + gamma * (a_ires + a_itb + a_vat),
+    return tuple.__new__(
+        PayoffVector,
+        (
+            buyer,
+            w * seller + gamma * a_seller,
+            w * (ires + itb + vat) + gamma * (a_ires + a_itb + a_vat),
+        ),
     )
 
 
@@ -321,6 +331,6 @@ def defined_events(scenario: Scenario, audited: bool) -> tuple[Event, ...]:
     The appendix variant is listed last and only where it exists; dominance
     enumerations deliberately exclude it (see dominance.dominant_events).
     """
-    if scenario is Scenario.TAX and not audited:
-        return CANONICAL_EVENTS + (Event.EVADE_LT_APPENDIX,)
+    if scenario is _TAX and not audited:
+        return CANONICAL_EVENTS + (_LT_APPENDIX,)
     return CANONICAL_EVENTS

@@ -430,6 +430,18 @@ class TestUsage:
             # x_o*(1 + v*delta) within one tie band of the payoffs
             ["thresholds", "--preset", "section6", "--set", "x_o=1e-9", "--set", "x_i=0"],
             ["region", "--preset", "section6", "--set", "x_o=1e-9", "--set", "x_i=0"],
+            # finite inputs whose payoffs would overflow to inf or nan
+            ["payoffs", "--preset", "section6", "--set", "s_v=1e308", "--regime", "certain-audit"],
+            [
+                "thresholds", "--preset", "section6",
+                "--set", "x_o=1e308", "--set", "x_i=1e308", "--set", "y_s=1e308",
+            ],
+            [
+                "region", "--preset", "section6", "--set", "x_o=1e308", "--set", "y_s=1e308",
+                "--theta-step", "0.5", "--gamma-step", "0.5",
+            ],
+            # refused before any draw is made
+            ["validate", "--draws", "99999999999"],
         ],
         ids=[
             "gamma-2", "gamma-no-audit", "gamma-certain-audit", "validate-thresholds-every",
@@ -440,6 +452,7 @@ class TestUsage:
             "precision-1e11", "region-precision-5e7",
             "thresholds-x_o-1e-14", "region-x_o-1e-14", "region-x_o-1e-320",
             "thresholds-x_o-1e-9", "region-x_o-1e-9",
+            "payoffs-s_v-1e308", "thresholds-1e308", "region-1e308", "validate-draws-1e11",
         ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):

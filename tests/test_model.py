@@ -12,12 +12,15 @@ from vat_game.model import (
     CANONICAL_EVENTS,
     AuditRegime,
     Event,
+    GovernmentRevenue,
     NonFiniteInputError,
+    PayoffVector,
     SanctionBaseMode,
     Scenario,
     TaxPolicy,
     TransactionEndowments,
     UndefinedEventError,
+    cell_streams,
     conservation_residual,
     defined_events,
     expected_payoff,
@@ -215,16 +218,28 @@ class TestStructure:
 class TestErrors:
     def test_appendix_variant_only_in_tax_unaudited(self, appendix_params):
         policy, te = appendix_params
-        with pytest.raises(UndefinedEventError):
-            payoff_event(Scenario.TAX, True, Event.EVADE_LT_APPENDIX, policy, te)
-        with pytest.raises(UndefinedEventError):
-            payoff_event(
-                Scenario.TAX_WITH_DEDUCTIONS, False, Event.EVADE_LT_APPENDIX, policy, te
-            )
-        with pytest.raises(UndefinedEventError):
-            expected_payoff(
-                Scenario.TAX, AuditRegime(0.5), Event.EVADE_LT_APPENDIX, policy, te
-            )
+        lt = Event.EVADE_LT_APPENDIX
+        undefined = "only defined for the plain tax scenario without audit"
+        for scenario in Scenario:
+            for audited in (False, True):
+                if scenario is Scenario.TAX and not audited:
+                    continue
+                for price in (cell_streams, payoff_event, government_revenue):
+                    with pytest.raises(UndefinedEventError, match=undefined):
+                        price(scenario, audited, lt, policy, te)
+                # an audit rate above 0 prices the audited cell, 0 only the unaudited one
+                for gamma in (0.37, 1.0) if audited else (0.0,):
+                    for mode in SanctionBaseMode:
+                        with pytest.raises(UndefinedEventError, match=undefined):
+                            expected_payoff(scenario, AuditRegime(gamma), lt, policy, te, mode)
+
+        plain, sanctioned = cell_streams(Scenario.TAX, False, lt, policy, te)
+        assert sanctioned is None
+        pv = payoff_event(Scenario.TAX, False, lt, policy, te)
+        assert pv[:2] == plain[:2]
+        assert government_revenue(Scenario.TAX, False, lt, policy, te) == plain[2:]
+        assert expected_payoff(Scenario.TAX, AuditRegime(0.0), lt, policy, te) == pv
+        assert abs(conservation_residual(pv, te)) <= 1e-9 * (te.y_b + te.y_s)
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NonFiniteInputError):
@@ -268,6 +283,7 @@ def test_engine_matches_recorded_digest():
     digest = hashlib.sha256()
     for draw in iter_draws(42, 200):
         for values in _engine_outputs(draw.policy, draw.te):
+            assert type(values) in (PayoffVector, GovernmentRevenue)
             digest.update(" ".join(float(x).hex() for x in values).encode() + b"\n")
     assert digest.hexdigest() == ENGINE_DIGEST
 
