@@ -255,6 +255,11 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             gamma0,
         )
 
+    # An overflowed row prints as inf, and as Infinity, which is not JSON.
+    for row in rows:
+        for key in ("value", "slope"):
+            if isinstance(row[key], float) and not math.isfinite(row[key]):
+                raise ConfigError(f"{row['name']} ({row['tag']}): {key} {row[key]} is not finite")
     _emit(rows, args.format, args.precision, args.out)
     return EXIT_OK
 

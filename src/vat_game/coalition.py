@@ -182,16 +182,14 @@ def gamma_for_compliance_without_deductions(
 ) -> ThresholdResult:
     """Audit probability at which theta = 0 already sustains joint compliance.
 
-    The gamma-axis crossing -intercept/slope of the published frontier.
-    Values above 1 are reported with the feasibility flag down: auditing
-    alone cannot do it and deductions are necessary.
+    The gamma-axis crossing -intercept/slope of the published frontier,
+    undefined where the frontier is flat and 0 where its intercept is not
+    positive. Values above 1 are reported with the feasibility flag down:
+    auditing alone cannot do it and deductions are necessary.
     """
     line = published_theta_frontier(variant, policy, te, mode)
-    if line.slope == 0.0:
-        return ThresholdResult.undefined()
-    if line.intercept <= 0.0:
-        return ThresholdResult.of(0.0)
-    return ThresholdResult.of(-line.intercept / line.slope)
+    value = 0.0 if line.intercept <= 0.0 else -line.intercept / (line.slope or 1.0)
+    return ThresholdResult(value, undefined=line.slope == 0.0)
 
 
 def coalition_best_event(

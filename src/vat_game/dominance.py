@@ -2,10 +2,10 @@
 
 Every threshold here is an explicit formula; the oracle module re-derives
 each one as the root of a `compare` margin of the engine, and the two must
-agree. Each formula is written once, as a `*_bound` expression that holds on
-floats and on arrays of draws alike and returns a `Bound`: the value and the
-masks where a sentinel replaces it. The `*_threshold` functions read one
-parameter set's `ThresholdResult` from it. None of them calls the engine.
+agree. Each formula is written once, as a `*_threshold` function that holds
+on floats and on arrays of draws alike and returns a `ThresholdResult`: the
+value and the masks where a sentinel replaces it. None of them calls the
+engine.
 
 The package's one tie rule lives here too: two payoffs tie when they lie
 within `tie_band` of each other, and `tied_for_best` is the argmax with
@@ -14,7 +14,6 @@ ties that every best response uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -74,34 +73,41 @@ class Sentinel(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """A closed-form bound, or a sentinel when the formula degenerates.
+class ThresholdResult(NamedTuple):
+    """A closed-form threshold over floats or over arrays of draws.
 
-    feasible_in_unit_interval reports whether the bound can bind for a
-    rate-valued parameter; values outside [0, 1] are reported as-is, never
-    clamped.
+    `value` is the formula. Each mask marks where a sentinel replaces it; the
+    first that holds, in field order, wins. Masks are bools or boolean arrays
+    that broadcast against `value`. The properties read one parameter set.
     """
 
-    sentinel: Sentinel
-    value: float | None = None
-    feasible_in_unit_interval: bool = False
+    value: Any
+    undefined: Any = False
+    always_satisfied: Any = False
+    never_satisfied: Any = False
 
     @classmethod
-    def of(cls, value: float) -> "ThresholdResult":
-        return cls(Sentinel.VALUE, value, 0.0 <= value <= 1.0)
+    def of(cls, value: float) -> ThresholdResult:
+        """A plain value: no sentinel replaces it."""
+        return cls(value)
 
-    @classmethod
-    def undefined(cls) -> "ThresholdResult":
-        return cls(Sentinel.UNDEFINED)
+    @property
+    def sentinel(self) -> Sentinel:
+        if self.undefined:
+            return Sentinel.UNDEFINED
+        if self.always_satisfied:
+            return Sentinel.ALWAYS_SATISFIED
+        if self.never_satisfied:
+            return Sentinel.NEVER_SATISFIED
+        return Sentinel.VALUE
 
-    @classmethod
-    def always_satisfied(cls) -> "ThresholdResult":
-        return cls(Sentinel.ALWAYS_SATISFIED)
+    @property
+    def feasible_in_unit_interval(self) -> bool:
+        """Whether the value can bind for a rate-valued parameter.
 
-    @classmethod
-    def never_satisfied(cls) -> "ThresholdResult":
-        return cls(Sentinel.NEVER_SATISFIED)
+        Values outside [0, 1] are reported as-is, never clamped.
+        """
+        return self.sentinel is Sentinel.VALUE and 0.0 <= self.value <= 1.0
 
 
 def compare(
@@ -126,30 +132,6 @@ def compare(
     ) - agent_payoff(agent, expected_payoff(scenario, regime, second, policy, te, mode))
 
 
-class Bound(NamedTuple):
-    """A closed-form threshold over floats or over arrays of draws.
-
-    `value` is the formula. Each mask marks where a sentinel replaces it; the
-    first that holds, in field order, wins. Masks are bools or boolean arrays
-    that broadcast against `value`.
-    """
-
-    value: Any
-    undefined: Any = False
-    always_satisfied: Any = False
-    never_satisfied: Any = False
-
-    def result(self) -> ThresholdResult:
-        """The scalar reading, with the value as a Python float."""
-        if self.undefined:
-            return ThresholdResult.undefined()
-        if self.always_satisfied:
-            return ThresholdResult.always_satisfied()
-        if self.never_satisfied:
-            return ThresholdResult.never_satisfied()
-        return ThresholdResult.of(float(self.value))
-
-
 def _quotient(numerator, denominator):
     """numerator / denominator, dividing by 1 where the denominator is 0.
 
@@ -168,30 +150,30 @@ def _buyer_x_o(mode: SanctionBaseMode, te):
     return te.x_o if mode is SanctionBaseMode.PAPER_LITERAL else 1.0
 
 
-def seller_tax_bound(policy, te) -> Bound:
+def seller_tax_threshold(policy, te) -> ThresholdResult:
     """Income-tax rate above which the seller prefers EVADE_LT2 to complying.
 
     t_s* = v*x_i / (x_o - x_i); undefined for a zero-value transaction.
     """
-    return Bound(
+    return ThresholdResult(
         _quotient(policy.v * te.x_i, te.x_o - te.x_i), undefined=te.x_o == te.x_i
     )
 
 
-def vat_rate_bound(policy, te) -> Bound:
+def vat_rate_threshold(policy, te) -> ThresholdResult:
     """VAT rate below which EVADE_LT2 beats complying for the seller.
 
     v* = t_s*(x_o - x_i)/x_i; with no input costs the VAT-refund motive
     vanishes and the bound is vacuous (always satisfied).
     """
-    return Bound(
+    return ThresholdResult(
         _quotient(policy.t_s * (te.x_o - te.x_i), te.x_i), always_satisfied=te.x_i == 0.0
     )
 
 
-def buyer_theta_bound(
+def buyer_theta_threshold(
     regime, policy, te, mode: SanctionBaseMode = SanctionBaseMode.CORRECTED
-) -> Bound:
+) -> ThresholdResult:
     """Deduction share above which the buyer complies in the deduction scenario.
 
     CORRECTED: theta* = (v*delta - gamma*v*(1+s_v)) / (1 + v*delta). The
@@ -206,15 +188,15 @@ def buyer_theta_bound(
     """
     v, delta, x_o = policy.v, policy.delta, _buyer_x_o(mode, te)
     sanction = regime.gamma * v * (1.0 + policy.s_v)
-    return Bound(
+    return ThresholdResult(
         _quotient(x_o * v * delta - sanction, x_o * (1.0 + v * delta)),
         undefined=x_o == 0.0,
     )
 
 
-def buyer_gamma_bound(
+def buyer_gamma_threshold(
     policy, te, mode: SanctionBaseMode = SanctionBaseMode.CORRECTED
-) -> Bound:
+) -> ThresholdResult:
     """Audit probability above which the buyer complies without deductions.
 
     The expected sanction must outweigh the evaded VAT x_o*v. CORRECTED
@@ -224,20 +206,20 @@ def buyer_gamma_bound(
     Sandmo 1972), so gamma* = x_o / (1 + s_v), undefined at x_o = 0.
     """
     x_o = _buyer_x_o(mode, te)
-    return Bound(x_o / (1.0 + policy.s_v), undefined=x_o == 0.0)
+    return ThresholdResult(x_o / (1.0 + policy.s_v), undefined=x_o == 0.0)
 
 
-def seller_gamma_bound_ewt(policy, te) -> Bound:
+def seller_gamma_threshold_ewt(policy, te) -> ThresholdResult:
     """Audit probability above which the seller drops whole-transaction evasion.
 
     gamma* = (x_o - x_i) / (x_o*(1 + s_ys)); undefined at x_o = 0.
     """
-    return Bound(
+    return ThresholdResult(
         _quotient(te.x_o - te.x_i, te.x_o * (1.0 + policy.s_ys)), undefined=te.x_o == 0.0
     )
 
 
-def seller_gamma_bound_elt2(policy, te) -> Bound:
+def seller_gamma_threshold_elt2(policy, te) -> ThresholdResult:
     """Audit probability above which the seller drops EVADE_LT2.
 
     gamma* = (t_s*(x_o - x_i) - v*x_i) / (t_s*x_o*(1 + s_ys)), undefined at
@@ -247,50 +229,11 @@ def seller_gamma_bound_elt2(policy, te) -> Bound:
     """
     t_s, x_o, x_i = policy.t_s, te.x_o, te.x_i
     gain = t_s * (x_o - x_i) - policy.v * x_i
-    return Bound(
+    return ThresholdResult(
         _quotient(gain, t_s * x_o * (1.0 + policy.s_ys)),
         undefined=t_s * x_o == 0.0,
         never_satisfied=gain < 0.0,
     )
-
-
-def seller_tax_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
-    """`seller_tax_bound` at one parameter set."""
-    return seller_tax_bound(policy, te).result()
-
-
-def vat_rate_threshold(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
-    """`vat_rate_bound` at one parameter set."""
-    return vat_rate_bound(policy, te).result()
-
-
-def buyer_theta_threshold(
-    regime: AuditRegime,
-    policy: TaxPolicy,
-    te: TransactionEndowments,
-    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-) -> ThresholdResult:
-    """`buyer_theta_bound` at one parameter set."""
-    return buyer_theta_bound(regime, policy, te, mode).result()
-
-
-def buyer_gamma_threshold(
-    policy: TaxPolicy,
-    te: TransactionEndowments,
-    mode: SanctionBaseMode = SanctionBaseMode.CORRECTED,
-) -> ThresholdResult:
-    """`buyer_gamma_bound` at one parameter set."""
-    return buyer_gamma_bound(policy, te, mode).result()
-
-
-def seller_gamma_threshold_ewt(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
-    """`seller_gamma_bound_ewt` at one parameter set."""
-    return seller_gamma_bound_ewt(policy, te).result()
-
-
-def seller_gamma_threshold_elt2(policy: TaxPolicy, te: TransactionEndowments) -> ThresholdResult:
-    """`seller_gamma_bound_elt2` at one parameter set."""
-    return seller_gamma_bound_elt2(policy, te).result()
 
 
 def dominant_events(

@@ -57,7 +57,6 @@ import numpy as np
 from . import dominance
 from .dominance import (
     Agent,
-    Bound,
     ThresholdResult,
     agent_payoff,
     compare,
@@ -256,14 +255,6 @@ def _affine_roots(margins, lo, hi) -> _Roots:
     return _Roots(value, sign, np.abs(m_mid - 0.5 * (m_lo + m_hi)))
 
 
-def _threshold_result(value: float, sign: float) -> ThresholdResult:
-    if sign > 0:
-        return ThresholdResult.always_satisfied()
-    if sign < 0:
-        return ThresholdResult.never_satisfied()
-    return ThresholdResult.of(float(value))
-
-
 def oracle_threshold(
     varied_parameter: str,
     comparison: Comparison,
@@ -296,7 +287,7 @@ def oracle_threshold(
             f"margin in {varied_parameter!r} for {comparison} is not affine on "
             f"[{lo}, {hi}]: the midpoint is {defect:.3e} off the secant"
         )
-    return _threshold_result(value, sign)
+    return ThresholdResult(float(value), always_satisfied=sign > 0, never_satisfied=sign < 0)
 
 
 @dataclass
@@ -335,15 +326,15 @@ _BEST_RESPONSE_CASES = len(_SCENARIOS) * len(_GAMMAS) * len(Agent)
 class _ThresholdCase(NamedTuple):
     """A closed-form threshold and the margin whose root it must be.
 
-    `closed_form` gives the `dominance.Bound` of a block's policy and te
-    views in a sanction base mode. `applies` masks out the draws where the
-    margin is identically zero and the closed form vacuous.
+    `closed_form` gives the `dominance.ThresholdResult` of a block's policy
+    and te views in a sanction base mode. `applies` masks out the draws where
+    the margin is identically zero and the closed form vacuous.
     """
 
     name: str
     varied: str
     comparison: Comparison
-    closed_form: Callable[[SimpleNamespace, SimpleNamespace, SanctionBaseMode], Bound]
+    closed_form: Callable[[SimpleNamespace, SimpleNamespace, SanctionBaseMode], ThresholdResult]
     lo: float
     hi: float
     applies: Callable[[SimpleNamespace, SimpleNamespace], np.ndarray]
@@ -362,7 +353,7 @@ _THRESHOLD_CASES = (
         "seller_tax_threshold",
         "t_s",
         _SELLER_COMPLY_VS_LT2,
-        lambda policy, te, mode: dominance.seller_tax_bound(policy, te),
+        lambda policy, te, mode: dominance.seller_tax_threshold(policy, te),
         0.0,
         0.999,
         lambda policy, te: te.x_o != te.x_i,
@@ -371,7 +362,7 @@ _THRESHOLD_CASES = (
         "vat_rate_threshold",
         "v",
         _SELLER_COMPLY_VS_LT2,
-        lambda policy, te, mode: dominance.vat_rate_bound(policy, te),
+        lambda policy, te, mode: dominance.vat_rate_threshold(policy, te),
         0.0,
         0.999,
         lambda policy, te: te.x_i > 0.0,
@@ -386,7 +377,7 @@ _THRESHOLD_CASES = (
             Scenario.TAX_WITH_DEDUCTIONS,
             _THETA_REGIME,
         ),
-        lambda policy, te, mode: dominance.buyer_theta_bound(_THETA_REGIME, policy, te, mode),
+        lambda policy, te, mode: dominance.buyer_theta_threshold(_THETA_REGIME, policy, te, mode),
         0.0,
         1.0,
         lambda policy, te: te.x_o > 0.0,
@@ -395,7 +386,7 @@ _THRESHOLD_CASES = (
         "buyer_gamma_threshold",
         "gamma",
         Comparison(Agent.BUYER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
-        lambda policy, te, mode: dominance.buyer_gamma_bound(policy, te, mode),
+        lambda policy, te, mode: dominance.buyer_gamma_threshold(policy, te, mode),
         0.0,
         1.0,
         lambda policy, te: (policy.v > 0.0) & (te.x_o > 0.0),
@@ -404,7 +395,7 @@ _THRESHOLD_CASES = (
         "seller_gamma_threshold_ewt",
         "gamma",
         Comparison(Agent.SELLER, Event.COMPLY, Event.EVADE_WT, Scenario.TAX, AuditRegime(0.0)),
-        lambda policy, te, mode: dominance.seller_gamma_bound_ewt(policy, te),
+        lambda policy, te, mode: dominance.seller_gamma_threshold_ewt(policy, te),
         0.0,
         1.0,
         lambda policy, te: (policy.t_s > 0.0) & (te.x_o > 0.0),
@@ -413,7 +404,7 @@ _THRESHOLD_CASES = (
         "seller_gamma_threshold_elt2",
         "gamma",
         _SELLER_COMPLY_VS_LT2,
-        lambda policy, te, mode: dominance.seller_gamma_bound_elt2(policy, te),
+        lambda policy, te, mode: dominance.seller_gamma_threshold_elt2(policy, te),
         0.0,
         1.0,
         lambda policy, te: (policy.t_s > 0.0) & (te.x_o > 0.0),
@@ -618,8 +609,12 @@ def _check_thresholds(tables, policy, te, band, mode, report) -> list[_Failure]:
             detail = f"the midpoint is {roots.defect[c, k]:.3e} off the secant"
         elif sentinel[c, k]:
             kind = "threshold sentinel mismatch"
-            oracle = _threshold_result(roots.value[c, k], roots.sign[c, k]).sentinel.value
-            detail = f"analytic={float(analytic[c, k])} oracle={oracle}"
+            oracle = ThresholdResult(
+                roots.value[c, k],
+                always_satisfied=roots.sign[c, k] > 0,
+                never_satisfied=roots.sign[c, k] < 0,
+            )
+            detail = f"analytic={float(analytic[c, k])} oracle={oracle.sentinel.value}"
         else:
             kind = "threshold mismatch"
             detail = f"analytic={float(analytic[c, k])} oracle={float(roots.value[c, k])}"

@@ -360,21 +360,26 @@ class TestAppendixCommand:
     def test_starts_without_numpy(self):
         # only validate and region need arrays; numpy is most of a cold start
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            "import sys\n"
-            "from vat_game import cli\n"
-            "cli.main(['appendix'])\n"
-            "print('numpy' in sys.modules, file=sys.stderr)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "False"
+        for argv in (
+            ["appendix"],
+            ["thresholds", "--preset", "section6"],
+            ["payoffs", "--preset", "section6"],
+        ):
+            code = (
+                "import sys\n"
+                "from vat_game import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "print('numpy' in sys.modules, file=sys.stderr)"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.stderr.splitlines()[-1] == "False", argv
 
 
 class TestValidateCommand:
@@ -442,6 +447,12 @@ class TestUsage:
             ],
             # refused before any draw is made
             ["validate", "--draws", "99999999999"],
+            # finite inputs whose v* = t_s*(x_o - x_i)/x_i overflows to inf
+            ["thresholds", "--preset", "section6", "--set", "x_o=1e300", "--set", "x_i=1e-300"],
+            [
+                "thresholds", "--preset", "section6", "--set", "x_o=1e300", "--set", "x_i=1e-300",
+                "--format", "json",
+            ],
         ],
         ids=[
             "gamma-2", "gamma-no-audit", "gamma-certain-audit", "validate-thresholds-every",
@@ -453,6 +464,7 @@ class TestUsage:
             "thresholds-x_o-1e-14", "region-x_o-1e-14", "region-x_o-1e-320",
             "thresholds-x_o-1e-9", "region-x_o-1e-9",
             "payoffs-s_v-1e308", "thresholds-1e308", "region-1e308", "validate-draws-1e11",
+            "thresholds-inf-csv", "thresholds-inf-json",
         ],
     )
     def test_bad_input_is_one_line_and_exit_one(self, capsys, argv):

@@ -154,6 +154,16 @@ class TestGammaForCompliance:
         assert result.sentinel is Sentinel.VALUE
         assert result.value == 0.0
 
+    def test_flat_frontier_is_undefined(self, section6_params):
+        # without taxes the frontier is flat and its intercept 0; flat wins
+        policy, te = section6_params
+        p = dataclasses.replace(policy, t_s=0.0, v=0.0)
+        for mode in SanctionBaseMode:
+            for variant in FRONTIER_VARIANTS:
+                result = gamma_for_compliance_without_deductions(variant, p, te, mode)
+                assert result.sentinel is Sentinel.UNDEFINED
+                assert not result.feasible_in_unit_interval
+
 
 class TestCoalitionBestEvent:
     def test_worked_example_prefers_lt1(self, appendix_params):

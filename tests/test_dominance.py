@@ -14,6 +14,7 @@ from vat_game.coalition import (
 from vat_game.dominance import (
     Agent,
     Sentinel,
+    ThresholdResult,
     buyer_gamma_threshold,
     buyer_theta_threshold,
     compare,
@@ -289,7 +290,7 @@ def edged_block():
 
 
 class TestArrayBounds:
-    """Each closed form on arrays of draws equals its scalar reader per draw."""
+    """Each closed form read on arrays of draws equals its reading per draw."""
 
     @pytest.mark.parametrize("mode", list(SanctionBaseMode))
     def test_array_bound_equals_scalar_reader(self, mode):
@@ -302,35 +303,44 @@ class TestArrayBounds:
             )
             for i in range(n)
         ]
-        # (closed form, its scalar reader), each on (policy, te)
-        cases = [
-            (dominance.seller_tax_bound, seller_tax_threshold),
-            (dominance.vat_rate_bound, vat_rate_threshold),
-            (
-                partial(dominance.buyer_gamma_bound, mode=mode),
-                partial(buyer_gamma_threshold, mode=mode),
-            ),
-            (dominance.seller_gamma_bound_ewt, seller_gamma_threshold_ewt),
-            (dominance.seller_gamma_bound_elt2, seller_gamma_threshold_elt2),
+        # each closed form on (policy, te)
+        closed_forms = [
+            seller_tax_threshold,
+            vat_rate_threshold,
+            partial(buyer_gamma_threshold, mode=mode),
+            seller_gamma_threshold_ewt,
+            seller_gamma_threshold_elt2,
         ] + [
-            (
-                partial(dominance.buyer_theta_bound, regime, mode=mode),
-                partial(buyer_theta_threshold, regime, mode=mode),
-            )
+            partial(buyer_theta_threshold, regime, mode=mode)
             for regime in (NO_AUDIT, AuditRegime(0.37), CERTAIN)
         ]
         sentinels = set()
-        for bound, reader in cases:
-            fields = [np.broadcast_to(f, (n,)) for f in bound(policy, te)]
+        for closed_form in closed_forms:
+            fields = [np.broadcast_to(f, (n,)) for f in closed_form(policy, te)]
             for i, (p, t) in enumerate(draws):
-                want = reader(p, t)
-                got = dominance.Bound(*(f[i] for f in fields)).result()
+                want = closed_form(p, t)
+                got = ThresholdResult(*(f[i] for f in fields))
                 assert got.sentinel is want.sentinel, (i, want)
                 if want.sentinel is Sentinel.VALUE:
                     assert got.value.hex() == want.value.hex(), (i, want)
                     assert type(want.value) is float
                 sentinels.add(want.sentinel)
         assert sentinels == set(Sentinel)
+
+    def test_first_mask_in_field_order_wins(self):
+        # t_s = 0 leaves ELT2's gamma* undefined, and its gain -v*x_i < 0
+        # marks it never satisfied too; undefined comes first
+        policy, te = edged_block()
+        fields = seller_gamma_threshold_elt2(policy, te)
+        last = ThresholdResult(*(np.broadcast_to(f, te.x_o.shape)[-1] for f in fields))
+        assert last.undefined and last.never_satisfied
+        assert last.sentinel is Sentinel.UNDEFINED
+        masks = ("undefined", "always_satisfied", "never_satisfied")
+        for held in [masks[:2], masks[1:], masks]:
+            result = ThresholdResult(0.5, **{mask: True for mask in held})
+            assert result.sentinel is Sentinel(held[0].replace("_", "-"))
+            assert not result.feasible_in_unit_interval
+        assert ThresholdResult.of(0.5).feasible_in_unit_interval
 
 
 class TestDominantEvents:

@@ -53,18 +53,18 @@ def rule_best_response(agent, scenario, regime, draw, mode):
 
 
 def shift_buyer_gamma_threshold(monkeypatch, shift):
-    """Move every value of `dominance.buyer_gamma_bound` by `shift`.
+    """Move every value of `dominance.buyer_gamma_threshold` by `shift`.
 
-    `validate` reads the bound on its arrays, and `buyer_gamma_threshold`
-    reads it on one draw, so both see the shift.
+    `validate` reads it on its arrays, and a caller on one draw, so both see
+    the shift.
     """
-    closed_form = dominance.buyer_gamma_bound
+    closed_form = dominance.buyer_gamma_threshold
 
     def shifted(policy, te, mode=CORRECTED):
-        bound = closed_form(policy, te, mode)
-        return bound._replace(value=bound.value + shift)
+        result = closed_form(policy, te, mode)
+        return result._replace(value=result.value + shift)
 
-    monkeypatch.setattr(dominance, "buyer_gamma_bound", shifted)
+    monkeypatch.setattr(dominance, "buyer_gamma_threshold", shifted)
 
 
 def report_digest(report):
@@ -383,7 +383,7 @@ class TestValidate:
             if dominance.seller_tax_threshold(draw.policy, draw.te).value > 0.999
         }
         monkeypatch.setattr(
-            dominance, "seller_tax_bound", lambda policy, te: dominance.Bound(0.5)
+            dominance, "seller_tax_threshold", lambda policy, te: dominance.ThresholdResult(0.5)
         )
         report = oracle.validate(seed=12, draws=40)
         sentinels = {
